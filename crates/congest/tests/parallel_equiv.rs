@@ -9,8 +9,8 @@
 use std::sync::Arc;
 
 use dam_congest::{
-    AdaptivePolicy, ChurnKind, ChurnPlan, Context, FaultPlan, Network, Port, Protocol,
-    RecordingSink, Resilient, SimConfig, SinkHandle, Trace, TransportCfg,
+    AdaptivePolicy, ChurnKind, ChurnPlan, Context, FaultPlan, LinkFault, Network, Partition, Port,
+    Protocol, RecordingSink, Resilient, SimConfig, SinkHandle, Squall, Trace, TransportCfg,
 };
 use dam_core::israeli_itai::IiNode;
 use dam_core::luby::LubyNode;
@@ -163,6 +163,51 @@ fn chatter_under_corruption_and_churn() {
         let cfg = SimConfig::congest_for(g.node_count(), 4).seed(seed).max_rounds(300);
         let faults = FaultPlan { corrupt: 0.15, equivocators: vec![3], ..churn_faults() };
         assert_equivalent(&g, cfg, &faults, &churn_plan(), |v, _g| Chatter {
+            acc: 0,
+            halt_round: 6 + v % 5,
+        });
+    }
+}
+
+/// Partition-plus-link-fault schedule: two round-windowed cuts,
+/// per-link loss/dup/reorder overrides on three edges of `g`, and a
+/// loss/corruption squall on top of mild background loss. These are
+/// the per-message gates evaluated before (partition) and inside
+/// (link overrides, squall overlay) the keyed fault draw.
+fn partition_plan(g: &Graph) -> FaultPlan {
+    let link = |e: usize, loss: f64, dup: f64, reorder: f64| {
+        let (a, b) = g.endpoints(e);
+        LinkFault { a, b, loss, dup, reorder }
+    };
+    FaultPlan {
+        loss: 0.04,
+        links: vec![link(0, 0.5, 0.0, 0.0), link(3, 0.1, 0.3, 0.0), link(5, 0.0, 0.1, 0.4)],
+        partitions: vec![
+            Partition { from_round: 2, until_round: 5, side: (0..20).collect() },
+            Partition { from_round: 8, until_round: 9, side: (0..40).step_by(3).collect() },
+        ],
+        squalls: vec![Squall { from_round: 3, until_round: 6, loss: 0.3, corrupt: 0.05 }],
+        ..FaultPlan::default()
+    }
+}
+
+#[test]
+fn israeli_itai_under_partition_and_link_faults() {
+    for seed in 0..SEEDS {
+        let g = graph_for(seed);
+        let cfg = SimConfig::congest_for(g.node_count(), 8).seed(seed).max_rounds(2_000);
+        assert_equivalent(&g, cfg, &partition_plan(&g), &ChurnPlan::default(), |v, graph| {
+            Resilient::new(IiNode::new(graph.degree(v)), TransportCfg::default())
+        });
+    }
+}
+
+#[test]
+fn chatter_under_partition_link_faults_and_churn() {
+    for seed in 0..SEEDS {
+        let g = graph_for(seed);
+        let cfg = SimConfig::congest_for(g.node_count(), 4).seed(seed).max_rounds(300);
+        assert_equivalent(&g, cfg, &partition_plan(&g), &churn_plan(), |v, _g| Chatter {
             acc: 0,
             halt_round: 6 + v % 5,
         });
