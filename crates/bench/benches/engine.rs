@@ -3,7 +3,7 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dam_congest::{Context, Network, Port, Protocol, SimConfig};
+use dam_congest::{Context, ExecPlan, Network, Port, Protocol, SimConfig};
 use dam_graph::generators;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,7 +44,9 @@ fn bench_engine(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("sequential", n), &g, |b, g| {
             b.iter(|| {
                 let mut net = Network::new(g, SimConfig::local().seed(7));
-                let out = net.run(|_, _| Gossip { rounds: 20, acc: 0 }).unwrap();
+                let out = net
+                    .execute(|_, _| Gossip { rounds: 20, acc: 0 }, &ExecPlan::default(), None)
+                    .unwrap();
                 black_box(out.stats.messages)
             });
         });
@@ -54,9 +56,13 @@ fn bench_engine(c: &mut Criterion) {
                 &g,
                 |b, g| {
                     b.iter(|| {
-                        let mut net = Network::new(g, SimConfig::local().seed(7));
+                        let mut net = Network::new(g, SimConfig::local().seed(7).threads(threads));
                         let out = net
-                            .run_parallel(|_, _| Gossip { rounds: 20, acc: 0 }, threads)
+                            .execute(
+                                |_, _| Gossip { rounds: 20, acc: 0 },
+                                &ExecPlan::default(),
+                                None,
+                            )
                             .unwrap();
                         black_box(out.stats.messages)
                     });

@@ -6,7 +6,7 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dam_congest::{ChurnKind, FaultPlan, Network, Resilient, SimConfig, TransportCfg};
+use dam_congest::{ChurnKind, ExecPlan, FaultPlan, Network, Resilient, SimConfig, TransportCfg};
 use dam_core::israeli_itai::IiNode;
 use dam_core::maintain::{MaintainConfig, Maintainer};
 use dam_core::runtime::{run_mm, IsraeliItai, RuntimeConfig};
@@ -30,14 +30,15 @@ fn bench_transport(c: &mut Criterion) {
                 b.iter(|| {
                     let mut net = Network::new(g, SimConfig::local().seed(5).max_rounds(100_000));
                     let out = net
-                        .run_faulty(
+                        .execute(
                             |v, graph| {
                                 Resilient::new(
                                     IiNode::new(graph.degree(v)),
                                     TransportCfg::default(),
                                 )
                             },
-                            &faults,
+                            &ExecPlan::from(faults.clone()),
+                            None,
                         )
                         .unwrap();
                     black_box(out.stats.rounds)

@@ -203,7 +203,8 @@ pub fn evaluate_with(case: &ChaosCase, adaptive: bool) -> ChaosOutcome {
         },
     };
 
-    let (mut node_present, edge_present) = churn.final_presence(&g);
+    let (nodes, edges) = churn.final_presence_on(&g);
+    let (mut node_present, edge_present) = (nodes.to_bools(), edges.to_bools());
     for &(v, _) in &case.crashes {
         node_present[v] = false;
     }

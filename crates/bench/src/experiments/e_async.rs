@@ -1,6 +1,6 @@
 //! E14: the α-synchronizer's price (footnote 2 made quantitative).
 
-use dam_congest::{AsyncNetwork, DelayModel, Network, SimConfig};
+use dam_congest::{AsyncNetwork, DelayModel, ExecPlan, Network, SimConfig};
 use dam_core::israeli_itai::IiNode;
 use dam_graph::generators;
 use rand::rngs::StdRng;
@@ -34,7 +34,7 @@ pub fn e14(ctx: &ExpContext) -> Vec<Table> {
             let mut rng = StdRng::seed_from_u64(9700 + seed);
             let g = generators::gnp(n, 6.0 / n as f64, &mut rng);
             let sync = Network::new(&g, SimConfig::local().seed(seed))
-                .run(|v, graph| IiNode::new(graph.degree(v)))
+                .execute(|v, graph| IiNode::new(graph.degree(v)), &ExecPlan::default(), None)
                 .expect("sync run");
             let (outputs, stats) = AsyncNetwork::new(&g, seed)
                 .run_async(|v, graph| IiNode::new(graph.degree(v)), delays)

@@ -22,8 +22,11 @@ fn dam_cli(args: &[&str]) -> Output {
 }
 
 fn graph_file() -> String {
+    // One file per test: the harness runs tests concurrently, and a
+    // shared file could be read while another test rewrites it.
+    let test = std::thread::current().name().unwrap_or("main").replace("::", "_");
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let path = dir.join("exit_codes_cli.txt");
+    let path = dir.join(format!("exit_codes_cli_{test}.txt"));
     let gen = dam_cli(&["gen", "gnp", "24", "0.2", "--seed", "5"]);
     assert!(gen.status.success(), "gen must succeed");
     std::fs::write(&path, &gen.stdout).expect("write graph");

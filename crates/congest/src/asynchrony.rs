@@ -16,7 +16,8 @@
 //! The observable behaviour is **identical** to the synchronous engine:
 //! each node sees the same per-round inboxes and consumes the same
 //! random stream, so `run_async` returns bit-identical outputs to
-//! [`crate::Network::run`] for any protocol and any delay distribution —
+//! a clean sequential [`crate::Network::execute`] for any protocol and
+//! any delay distribution —
 //! which is exactly what the test suite asserts. The price is message
 //! overhead (the empty markers), reported in [`AsyncStats`].
 //!
@@ -53,6 +54,7 @@ use dam_graph::{BitSet, NodeId, Topology};
 use rand::rngs::StdRng;
 
 use crate::error::SimError;
+use crate::kernel::Peers;
 use crate::message::BitSize;
 use crate::model::DelayModel;
 use crate::node::{Context, Port, Protocol};
@@ -81,14 +83,15 @@ pub struct AsyncInfo {
 
 /// The virtual-time layer of the asynchronous backend.
 ///
-/// Owned by `Network::run_impl` when running under
+/// Owned by the sequential round loop when running under
 /// [`crate::Backend::Async`]; see the module docs for the recurrence it
-/// tracks. It deliberately holds *copies* of the port/edge tables so it
-/// borrows nothing from the engine.
-pub(crate) struct AsyncTiming {
-    /// `ports[v][p]` = `(peer node, edge id)` — the engine's peer table
-    /// joined with the edge ids the presence vectors are indexed by.
-    ports: Vec<Vec<(NodeId, usize)>>,
+/// tracks. It borrows the network's port-translation table and keeps
+/// only a flat column of edge ids aligned with it.
+pub(crate) struct AsyncTiming<'a> {
+    peers: &'a Peers,
+    /// `edges[offsets[v] + p]`: the id of the edge behind port `p` of
+    /// `v`, which the presence masks are indexed by.
+    edges: Vec<usize>,
     delay: DelayModel,
     patience: Option<u64>,
     seed: u64,
@@ -111,21 +114,21 @@ pub(crate) struct AsyncTiming {
     timing_drops: u64,
 }
 
-impl AsyncTiming {
+impl<'a> AsyncTiming<'a> {
     pub(crate) fn new(
         graph: &dyn Topology,
-        peer: &[Vec<(NodeId, Port)>],
+        peers: &'a Peers,
         delay: DelayModel,
         patience: Option<u64>,
         seed: u64,
         run: u64,
-    ) -> AsyncTiming {
+    ) -> AsyncTiming<'a> {
         let n = graph.node_count();
-        let ports = (0..n)
-            .map(|v| (0..graph.degree(v)).map(|p| (peer[v][p].0, graph.port(v, p).1)).collect())
-            .collect();
+        let edges =
+            (0..n).flat_map(|v| (0..graph.degree(v)).map(move |p| graph.port(v, p).1)).collect();
         AsyncTiming {
-            ports,
+            peers,
+            edges,
             delay,
             patience,
             seed,
@@ -142,24 +145,36 @@ impl AsyncTiming {
         }
     }
 
-    /// Called by `flush` before draining a step's outbox.
-    pub(crate) fn begin_step(&mut self, v: NodeId) {
-        for p in 0..self.ports[v].len() {
-            self.frame_ports[p] = false;
-        }
+    /// `v`'s ports as `(peer node, edge id)` pairs, by port.
+    fn port(&self, v: NodeId, p: Port) -> (NodeId, usize) {
+        let i = self.peers.offsets[v] + p;
+        (self.peers.entries[i].0, self.edges[i])
     }
 
-    /// Called by `flush` for every message that found a live channel:
-    /// the frame on this port carries a payload, so no marker is owed.
+    fn degree(&self, v: NodeId) -> usize {
+        self.peers.offsets[v + 1] - self.peers.offsets[v]
+    }
+
+    /// Called by the delivery kernel before draining a step's outbox.
+    pub(crate) fn begin_step(&mut self, v: NodeId) {
+        let degree = self.degree(v);
+        self.frame_ports[..degree].fill(false);
+    }
+
+    /// Called by the delivery kernel for every message that found a live
+    /// channel: the frame on this port carries a payload, so no marker
+    /// is owed.
     pub(crate) fn note_frame(&mut self, port: Port) {
         self.frame_ports[port] = true;
     }
 
-    /// Called by `flush` after draining a step's outbox: every present
-    /// port without a payload owes a synchronizer marker, and the node
-    /// counts as an active round-`r` sender its neighbours wait on.
+    /// Called by the delivery kernel after draining a step's outbox:
+    /// every present port without a payload owes a synchronizer marker,
+    /// and the node counts as an active round-`r` sender its neighbours
+    /// wait on.
     pub(crate) fn end_step(&mut self, v: NodeId, edge_present: &BitSet, node_present: &BitSet) {
-        for (p, &(u, e)) in self.ports[v].iter().enumerate() {
+        for p in 0..self.degree(v) {
+            let (u, e) = self.port(v, p);
             if edge_present[e] && node_present[u] && !self.frame_ports[p] {
                 self.markers = self.markers.saturating_add(1);
             }
@@ -177,7 +192,7 @@ impl AsyncTiming {
             self.dropped.retain(|&(_, _, sr)| sr + DROP_HISTORY_ROUNDS >= round);
         }
         self.t_next.clear();
-        for (v, ports) in self.ports.iter().enumerate() {
+        for v in 0..self.t.len() {
             let prev = self.t[v];
             // A round costs at least one unit of local work, which also
             // keeps dormant (halted/absent) clocks ticking — they skip
@@ -186,7 +201,8 @@ impl AsyncTiming {
             let mut tv = prev.saturating_add(1);
             let deadline = self.patience.map(|p| prev.saturating_add(p.max(1)));
             let mut any_late = false;
-            for &(u, e) in ports {
+            for p in 0..self.degree(v) {
+                let (u, e) = self.port(v, p);
                 if !self.active[u] || !edge_present[e] {
                     // No frame to wait for: the sender is dormant (its
                     // "last" announcement resolves the slot) or the link
@@ -315,7 +331,7 @@ impl<'g> AsyncNetwork<'g> {
 
     /// Runs `make`'s protocol under asynchronous delivery with the given
     /// delay model. Outputs are bit-identical to the synchronous
-    /// [`crate::Network::run`] with the same seed.
+    /// [`crate::Network::execute`] with the same seed.
     ///
     /// # Errors
     /// [`SimError::RoundLimitExceeded`] (re-used as an event-budget
@@ -593,6 +609,7 @@ fn peer_of(g: &dyn Topology, v: NodeId, port: Port) -> (NodeId, Port) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ExecPlan;
     use crate::model::SimConfig;
     use crate::Network;
     use dam_graph::generators;
@@ -633,7 +650,7 @@ mod tests {
 
     fn sync_outputs(g: &dam_graph::Graph, seed: u64) -> Vec<u64> {
         Network::new(g, SimConfig::local().seed(seed))
-            .run(|_, _| Gossip { rounds: 6, acc: 0 })
+            .execute(|_, _| Gossip { rounds: 6, acc: 0 }, &ExecPlan::default(), None)
             .unwrap()
             .outputs
     }
@@ -690,13 +707,12 @@ mod tests {
 
     #[test]
     fn backend_matches_sequential_and_accounts_markers() {
-        use crate::engine::{ChurnPlan, FaultPlan};
         use crate::model::Backend;
         use rand::SeedableRng;
         let mut topo_rng = rand::rngs::StdRng::seed_from_u64(9);
         let g = generators::gnp(20, 0.2, &mut topo_rng);
         let seq = Network::new(&g, SimConfig::local().seed(3))
-            .run(|_, _| Gossip { rounds: 6, acc: 0 })
+            .execute(|_, _| Gossip { rounds: 6, acc: 0 }, &ExecPlan::default(), None)
             .unwrap();
         for delay in [
             DelayModel::Unit,
@@ -707,11 +723,7 @@ mod tests {
             let cfg = SimConfig::local().seed(3).backend(Backend::Async).delay(delay);
             let mut net = Network::new(&g, cfg);
             let out = net
-                .run_async_churned(
-                    |_, _| Gossip { rounds: 6, acc: 0 },
-                    &FaultPlan::default(),
-                    &ChurnPlan::default(),
-                )
+                .execute(|_, _| Gossip { rounds: 6, acc: 0 }, &ExecPlan::default(), None)
                 .unwrap();
             assert_eq!(out.outputs, seq.outputs, "{delay:?}: payload divergence");
             assert_eq!(out.stats.rounds, seq.stats.rounds);
@@ -732,7 +744,6 @@ mod tests {
 
     #[test]
     fn patience_drops_straggler_frames_deterministically() {
-        use crate::engine::{ChurnPlan, FaultPlan};
         use crate::model::Backend;
         use rand::SeedableRng;
         let mut topo_rng = rand::rngs::StdRng::seed_from_u64(4);
@@ -745,11 +756,7 @@ mod tests {
         let run = |cfg| {
             let mut net = Network::new(&g, cfg);
             let out = net
-                .run_async_churned(
-                    |_, _| Gossip { rounds: 6, acc: 0 },
-                    &FaultPlan::default(),
-                    &ChurnPlan::default(),
-                )
+                .execute(|_, _| Gossip { rounds: 6, acc: 0 }, &ExecPlan::default(), None)
                 .unwrap();
             (out.outputs, net.async_info().unwrap())
         };
@@ -763,7 +770,7 @@ mod tests {
         let bound = DelayModel::Straggler { node: 0, slow: 12 }.bound();
         let (c, info_c) = run(cfg.patience(2 * bound));
         let seq = Network::new(&g, SimConfig::local().seed(5))
-            .run(|_, _| Gossip { rounds: 6, acc: 0 })
+            .execute(|_, _| Gossip { rounds: 6, acc: 0 }, &ExecPlan::default(), None)
             .unwrap();
         assert_eq!(info_c.timing_drops, 0, "patience ≥ 2·bound absorbs the straggler");
         assert_eq!(c, seq.outputs);

@@ -1,10 +1,14 @@
-//! The sequential deterministic engine.
+//! The engine: fault and churn plans, the [`Network`] and its one entry
+//! point [`Network::execute`], and the sequential round loop (which,
+//! with a virtual-time layer on top, is also the asynchronous backend).
 
-use dam_graph::{BitSet, Graph, NodeId, Topology};
+use dam_graph::{BitSet, NodeId, Topology};
 
+use crate::asynchrony::AsyncTiming;
 use crate::error::SimError;
-use crate::message::{BitSize, CorruptKind, MsgClass};
-use crate::model::{CostModel, Model, SimConfig, ViolationPolicy};
+use crate::kernel::{Deliver, Kernel, Peers, Tally};
+use crate::message::CorruptKind;
+use crate::model::{Backend, CostModel, Model, SimConfig};
 use crate::node::{Context, Port, Protocol};
 use crate::rng;
 use crate::stats::{Integrity, RunStats, TotalStats};
@@ -72,7 +76,7 @@ pub struct Partition {
 /// Every injection is drawn from a dedicated RNG keyed on `(seed, run)`,
 /// so runs are deterministic and replayable; each injection is also
 /// recorded as a [`TraceEvent::Fault`] when tracing. An all-default plan
-/// makes [`Network::run_faulty`] behave exactly like [`Network::run`].
+/// injects nothing: the run is exactly a clean one.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// Crash-stop faults: `(node, round)` — the node executes rounds
@@ -95,7 +99,7 @@ pub struct FaultPlan {
     /// Independent per-message *corruption* probability: the message is
     /// damaged in transit with a [`CorruptKind`] drawn from the same
     /// keyed fault stream. Damaged messages are re-decoded through
-    /// [`BitSize::corrupted`]; undecodable ones are dropped at delivery.
+    /// [`crate::BitSize::corrupted`]; undecodable ones are dropped at delivery.
     /// Either way the event is counted in
     /// [`RunStats::corruptions`] and traced as
     /// [`FaultKind::Corrupt`].
@@ -349,7 +353,7 @@ pub struct ChurnEvent {
 /// Scheduled topology churn for a run: a dynamic graph expressed as
 /// presence masks over an immutable *universe* graph.
 ///
-/// The engine's [`Graph`] is immutable, so churn is modelled by
+/// The engine's [`dam_graph::Graph`] is immutable, so churn is modelled by
 /// presence: `absent_nodes`/`absent_edges` name the parts of the
 /// universe missing at round 0, and `events` toggles presence at
 /// round boundaries — edges flap up and down, absent nodes [`join`]
@@ -453,22 +457,6 @@ impl ChurnPlan {
             }
         }
         (node_present, edge_present)
-    }
-
-    /// Legacy `Vec<bool>` form of [`ChurnPlan::initial_presence_on`].
-    #[doc(hidden)]
-    #[must_use]
-    pub fn initial_presence(&self, graph: &Graph) -> (Vec<bool>, Vec<bool>) {
-        let (nodes, edges) = self.initial_presence_on(graph);
-        (nodes.to_bools(), edges.to_bools())
-    }
-
-    /// Legacy `Vec<bool>` form of [`ChurnPlan::final_presence_on`].
-    #[doc(hidden)]
-    #[must_use]
-    pub fn final_presence(&self, graph: &Graph) -> (Vec<bool>, Vec<bool>) {
-        let (nodes, edges) = self.final_presence_on(graph);
-        (nodes.to_bools(), edges.to_bools())
     }
 
     /// Checks the plan against `graph` before a run.
@@ -831,18 +819,49 @@ pub struct RunOutcome<O> {
     pub sessions: Vec<Option<crate::node::SessionState>>,
 }
 
+/// Everything a [`Network::execute`] run injects: a [`FaultPlan`] and a
+/// [`ChurnPlan`]. The default plan injects nothing, which is a clean run.
+#[derive(Debug, Clone, Default)]
+pub struct ExecPlan {
+    /// Injected faults.
+    pub faults: FaultPlan,
+    /// Scheduled topology churn.
+    pub churn: ChurnPlan,
+}
+
+impl ExecPlan {
+    /// A plan with both parts.
+    #[must_use]
+    pub fn new(faults: FaultPlan, churn: ChurnPlan) -> ExecPlan {
+        ExecPlan { faults, churn }
+    }
+}
+
+impl From<FaultPlan> for ExecPlan {
+    fn from(faults: FaultPlan) -> ExecPlan {
+        ExecPlan { faults, churn: ChurnPlan::default() }
+    }
+}
+
+impl From<ChurnPlan> for ExecPlan {
+    fn from(churn: ChurnPlan) -> ExecPlan {
+        ExecPlan { faults: FaultPlan::default(), churn }
+    }
+}
+
 /// A synchronous network over a graph topology.
 ///
 /// One `Network` can execute many protocol runs (the *phases* of a larger
-/// algorithm); [`Network::totals`] accumulates their combined cost, which
-/// is the quantity the paper's theorems bound.
+/// algorithm) through its one entry point, [`Network::execute`];
+/// [`Network::totals`] accumulates their combined cost, which is the
+/// quantity the paper's theorems bound.
 pub struct Network<'g> {
     graph: &'g dyn Topology,
     config: SimConfig,
     run_counter: u64,
     totals: TotalStats,
-    /// `peer[v][p]` = `(u, q)`: port `p` of `v` is port `q` of `u`.
-    peer: Vec<Vec<(NodeId, Port)>>,
+    /// The port-translation table every backend delivers through.
+    peers: Peers,
     /// Virtual-time accounting of the most recent asynchronous run
     /// ([`crate::Backend::Async`]); `None` before the first one.
     async_info: Option<crate::asynchrony::AsyncInfo>,
@@ -854,43 +873,72 @@ pub struct Network<'g> {
     sink: Option<crate::telemetry::SinkHandle>,
 }
 
+/// The sequential engine's network state: what its deliveries read and
+/// write between node steps.
+struct SeqNet<'a, M> {
+    halted: BitSet,
+    node_present: BitSet,
+    edge_present: BitSet,
+    /// Next round's inboxes.
+    next: Vec<Vec<(Port, M)>>,
+    /// Messages duplicated or reordered into a later round:
+    /// `(delivery_round, receiver, receiver port, send_round, payload)`.
+    /// The send round is carried so the asynchronous backend can drop
+    /// every copy of a frame that arrived past its patience deadline.
+    pending: Vec<(usize, NodeId, Port, usize, M)>,
+    /// The asynchronous backend's virtual-time layer.
+    timing: Option<AsyncTiming<'a>>,
+}
+
+impl<M> Deliver<M> for SeqNet<'_, M> {
+    fn open(&self, _round: usize, _v: NodeId, u: NodeId, e: usize) -> bool {
+        self.edge_present[e] && self.node_present[u]
+    }
+
+    fn now(&mut self, _round: usize, _v: NodeId, u: NodeId, q: Port, msg: M) {
+        if !self.halted[u] {
+            self.next[u].push((q, msg));
+        }
+    }
+
+    fn later(&mut self, at: usize, round: usize, u: NodeId, q: Port, msg: M) {
+        self.pending.push((at, u, q, round, msg));
+    }
+
+    fn begin_step(&mut self, v: NodeId) {
+        if let Some(tm) = self.timing.as_mut() {
+            tm.begin_step(v);
+        }
+    }
+
+    fn note_frame(&mut self, port: Port) {
+        if let Some(tm) = self.timing.as_mut() {
+            tm.note_frame(port);
+        }
+    }
+
+    fn end_step(&mut self, v: NodeId) {
+        if let Some(tm) = self.timing.as_mut() {
+            tm.end_step(v, &self.edge_present, &self.node_present);
+        }
+    }
+}
+
+/// One run's result, the trace events it collected, or its error.
+pub(crate) type BackendResult<O> = Result<(RunOutcome<O>, Option<Vec<TraceEvent>>), SimError>;
+
 impl<'g> Network<'g> {
     /// Creates a network over any [`Topology`] — a materialized CSR
-    /// [`Graph`] or an implicit generator; `&Graph` coerces at the call
-    /// site.
+    /// [`dam_graph::Graph`] or an implicit generator; `&Graph` coerces at
+    /// the call site.
     #[must_use]
     pub fn new(graph: &'g dyn Topology, config: SimConfig) -> Network<'g> {
-        let n = graph.node_count();
-        let mut peer = vec![Vec::new(); n];
-        // Map each edge to its port at each endpoint, then link the two.
-        let mut port_at = vec![(usize::MAX, usize::MAX); graph.edge_count()];
-        for v in 0..n {
-            for (p, _, e) in graph.incident(v) {
-                let (a, _) = graph.endpoints(e);
-                if v == a && port_at[e].0 == usize::MAX {
-                    port_at[e].0 = p;
-                } else {
-                    port_at[e].1 = p;
-                }
-            }
-        }
-        for (v, slot) in peer.iter_mut().enumerate() {
-            *slot = graph
-                .incident(v)
-                .map(|(p, u, e)| {
-                    let (a, _) = graph.endpoints(e);
-                    let q = if v == a && port_at[e].0 == p { port_at[e].1 } else { port_at[e].0 };
-                    let _ = p;
-                    (u, q)
-                })
-                .collect();
-        }
         Network {
             graph,
             config,
             run_counter: 0,
             totals: TotalStats::default(),
-            peer,
+            peers: Peers::new(graph),
             async_info: None,
             sink: None,
         }
@@ -962,14 +1010,12 @@ impl<'g> Network<'g> {
     /// The `(neighbour, remote port)` pair behind `(node, port)`.
     #[must_use]
     pub fn peer(&self, node: NodeId, port: Port) -> (NodeId, Port) {
-        self.peer[node][port]
+        self.peers.get(node, port)
     }
 
-    /// Allocates the next run id (also advances the randomness stream).
-    pub(crate) fn next_run_id(&mut self) -> u64 {
-        let id = self.run_counter;
-        self.run_counter += 1;
-        id
+    /// The port-translation table (shared with the sharded executor).
+    pub(crate) fn peers(&self) -> &Peers {
+        &self.peers
     }
 
     /// Virtual-time accounting (makespan, synchronizer markers, timing
@@ -980,268 +1026,155 @@ impl<'g> Network<'g> {
         self.async_info
     }
 
-    /// Folds a finished run into the cumulative totals.
-    pub(crate) fn record_run(&mut self, stats: &RunStats) {
-        self.totals.record(stats);
-    }
-
-    /// Executes one protocol run: `make(v, graph)` builds node `v`'s state
-    /// machine.
+    /// Executes one protocol run: `make(v, graph)` builds node `v`'s
+    /// state machine.
+    ///
+    /// `plan` injects faults and topology churn; its default is a clean
+    /// run. With `trace` set, every send (with its width), halt, injected
+    /// fault ([`TraceEvent::Fault`]) and applied topology event
+    /// ([`TraceEvent::Churn`]) is appended to it; on an error the trace
+    /// is left as it was.
+    ///
+    /// [`SimConfig::effective_backend`] picks the backend: the
+    /// sequential reference engine, the sharded executor
+    /// ([`crate::parallel`]) on `max(threads, 2)` workers, or the
+    /// asynchronous backend ([`crate::asynchrony`]), which times the same
+    /// rounds in virtual time under [`SimConfig::delay`]. All three
+    /// deliver through one kernel and give bit-identical outputs,
+    /// statistics, traces and errors. The two exceptions are the async
+    /// backend's [`RunStats::markers`] and the frames it drops past a
+    /// [`SimConfig::patience`] budget (see [`Network::async_info`]).
+    ///
+    /// Crashed nodes stop silently at their crash round; their output
+    /// reflects the state at the crash (or at the end, if they
+    /// recovered). Churn events apply at round boundaries in round order
+    /// (plan order within a round): edges flap, absent nodes join with
+    /// fresh state, present nodes leave permanently. The run does not
+    /// end before the last scheduled recovery or topology event. All
+    /// injections are deterministic in `(seed, run)`.
     ///
     /// # Errors
-    /// [`SimError::RoundLimitExceeded`] if the round guard fires,
+    /// [`SimError::InvalidFaultPlan`] or [`SimError::InvalidChurnPlan`]
+    /// if the plan fails [`FaultPlan::validate`],
+    /// [`ChurnPlan::validate`] or [`ChurnPlan::validate_against`];
+    /// [`SimError::RoundLimitExceeded`] if the round guard fires
+    /// (protocols without timeouts typically hit it when a neighbour
+    /// crashes, which is itself the measurement);
     /// [`SimError::DuplicateSend`] on a double send.
     ///
     /// # Panics
-    /// Panics if an oversize message is sent under
-    /// [`ViolationPolicy::Panic`].
-    pub fn run<P, F>(&mut self, make: F) -> Result<RunOutcome<P::Output>, SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &dyn Topology) -> P,
-    {
-        self.run_impl(make, None, &FaultPlan::default(), &ChurnPlan::default(), false)
-    }
-
-    /// As [`Network::run`] but with injected faults: crash-stop and
-    /// crash-recover nodes, network-wide or per-link message
-    /// loss/duplication/reordering, and round-windowed partitions.
-    /// Crashed nodes stop silently at their crash round; their
-    /// `into_output` reflects the state at the crash (or at the end, if
-    /// they recovered). All injections are deterministic in
-    /// `(seed, run)`.
-    ///
-    /// # Errors
-    /// As [`Network::run`] — in particular, protocols without timeouts
-    /// typically hit the round guard when a neighbour crashes, which is
-    /// itself the measurement. Additionally
-    /// [`SimError::InvalidFaultPlan`] if the plan fails
-    /// [`FaultPlan::validate`].
-    pub fn run_faulty<P, F>(
+    /// On an oversize message under [`crate::ViolationPolicy::Panic`], or if
+    /// protocol code panics (a sharded worker's panic is resumed on the
+    /// calling thread).
+    pub fn execute<P, F>(
         &mut self,
         make: F,
-        faults: &FaultPlan,
+        plan: &ExecPlan,
+        trace: Option<&mut Trace>,
     ) -> Result<RunOutcome<P::Output>, SimError>
     where
-        P: Protocol,
-        F: FnMut(NodeId, &dyn Topology) -> P,
+        P: Protocol + Send,
+        F: Fn(NodeId, &dyn Topology) -> P + Sync,
     {
-        self.run_impl(make, None, faults, &ChurnPlan::default(), false)
-    }
-
-    /// As [`Network::run_faulty`], additionally collecting a [`Trace`]
-    /// in which every injected fault appears as a
-    /// [`TraceEvent::Fault`].
-    ///
-    /// # Errors
-    /// As [`Network::run_faulty`].
-    pub fn run_faulty_traced<P, F>(
-        &mut self,
-        make: F,
-        faults: &FaultPlan,
-    ) -> Result<(RunOutcome<P::Output>, Trace), SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &dyn Topology) -> P,
-    {
-        let mut trace = Trace::new();
-        let outcome =
-            self.run_impl(make, Some(&mut trace), faults, &ChurnPlan::default(), false)?;
-        Ok((outcome, trace))
-    }
-
-    /// As [`Network::run_faulty`] but additionally applying a
-    /// [`ChurnPlan`]: the topology changes mid-run — edges flap, absent
-    /// nodes join with fresh state (empty registers, fresh randomness),
-    /// present nodes leave permanently. Events are applied at round
-    /// boundaries in round order (plan order within a round); the run
-    /// does not end before the last scheduled event has been applied.
-    ///
-    /// # Errors
-    /// As [`Network::run_faulty`]; additionally
-    /// [`SimError::InvalidChurnPlan`] if the churn plan fails
-    /// [`ChurnPlan::validate`] or overlaps the fault plan's crash set
-    /// ([`ChurnPlan::validate_against`]).
-    pub fn run_churned<P, F>(
-        &mut self,
-        make: F,
-        faults: &FaultPlan,
-        churn: &ChurnPlan,
-    ) -> Result<RunOutcome<P::Output>, SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &dyn Topology) -> P,
-    {
-        self.run_impl(make, None, faults, churn, false)
-    }
-
-    /// As [`Network::run_churned`], additionally collecting a [`Trace`]
-    /// in which every applied topology event appears as a
-    /// [`TraceEvent::Churn`].
-    ///
-    /// # Errors
-    /// As [`Network::run_churned`].
-    pub fn run_churned_traced<P, F>(
-        &mut self,
-        make: F,
-        faults: &FaultPlan,
-        churn: &ChurnPlan,
-    ) -> Result<(RunOutcome<P::Output>, Trace), SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &dyn Topology) -> P,
-    {
-        let mut trace = Trace::new();
-        let outcome = self.run_impl(make, Some(&mut trace), faults, churn, false)?;
-        Ok((outcome, trace))
-    }
-
-    /// As [`Network::run_churned`] but on the asynchronous backend
-    /// ([`crate::Backend::Async`]): node steps are scheduled in virtual
-    /// time under the configured [`crate::DelayModel`], synchronised by
-    /// the α-synchronizer of Awerbuch (the paper's footnote 2). With
-    /// [`SimConfig::patience`] unset the outputs, statistics (except the
-    /// extra [`RunStats::markers`]), traces and error paths are
-    /// bit-identical to [`Network::run_churned`] — the synchronizer
-    /// contract, enforced by the `async_equiv` differential suite. With
-    /// a patience budget set, frames arriving after the budget are
-    /// dropped, which trades bit-identity for bounded progress (see
-    /// [`Network::async_info`] for the drop count).
-    ///
-    /// # Errors
-    /// As [`Network::run_churned`].
-    pub fn run_async_churned<P, F>(
-        &mut self,
-        make: F,
-        faults: &FaultPlan,
-        churn: &ChurnPlan,
-    ) -> Result<RunOutcome<P::Output>, SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &dyn Topology) -> P,
-    {
-        self.run_impl(make, None, faults, churn, true)
-    }
-
-    /// As [`Network::run_async_churned`], additionally collecting a
-    /// [`Trace`].
-    ///
-    /// # Errors
-    /// As [`Network::run_async_churned`].
-    pub fn run_async_churned_traced<P, F>(
-        &mut self,
-        make: F,
-        faults: &FaultPlan,
-        churn: &ChurnPlan,
-    ) -> Result<(RunOutcome<P::Output>, Trace), SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &dyn Topology) -> P,
-    {
-        let mut trace = Trace::new();
-        let outcome = self.run_impl(make, Some(&mut trace), faults, churn, true)?;
-        Ok((outcome, trace))
-    }
-
-    /// As [`Network::run`], additionally collecting an execution
-    /// [`Trace`] (every send with its width, every halt).
-    ///
-    /// # Errors
-    /// As [`Network::run`].
-    pub fn run_traced<P, F>(&mut self, make: F) -> Result<(RunOutcome<P::Output>, Trace), SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &dyn Topology) -> P,
-    {
-        let mut trace = Trace::new();
-        let outcome = self.run_impl(
-            make,
-            Some(&mut trace),
-            &FaultPlan::default(),
-            &ChurnPlan::default(),
-            false,
-        )?;
-        Ok((outcome, trace))
-    }
-
-    fn run_impl<P, F>(
-        &mut self,
-        mut make: F,
-        mut trace: Option<&mut Trace>,
-        faults: &FaultPlan,
-        churn: &ChurnPlan,
-        async_mode: bool,
-    ) -> Result<RunOutcome<P::Output>, SimError>
-    where
-        P: Protocol,
-        F: FnMut(NodeId, &dyn Topology) -> P,
-    {
-        let plan = RunPlan::build(self.graph, faults, churn)?;
-        let n = self.graph.node_count();
+        let run_plan = RunPlan::build(self.graph, &plan.faults, &plan.churn)?;
         let run_id = self.next_run_id();
-        // The asynchronous backend runs the *same* payload pipeline with
-        // a virtual-time layer on top: the α-synchronizer contract makes
-        // message contents independent of timing, so the layer only has
-        // to track per-node completion times, count the synchronizer's
-        // empty-round markers, and — under a patience budget — decide
-        // which frames arrive too late to be delivered.
-        let mut timing: Option<crate::asynchrony::AsyncTiming> = if async_mode {
+        let traced = trace.is_some();
+        // One worker (or a trivial graph): the sequential engine IS the
+        // sharded semantics; no need to spin up a pool.
+        let threads = self.config.threads.max(2).min(self.graph.node_count());
+        let (outcome, events) = match self.config.effective_backend() {
+            Backend::Sharded if threads > 1 => {
+                self.run_sharded(&make, &run_plan, run_id, traced, threads)?
+            }
+            backend => {
+                self.run_rounds(&make, &run_plan, run_id, traced, backend == Backend::Async)?
+            }
+        };
+        self.totals.record(&outcome.stats);
+        if let (Some(trace), Some(events)) = (trace, events) {
+            trace.extend(events);
+        }
+        Ok(outcome)
+    }
+
+    /// Allocates the next run id (also advances the randomness stream).
+    fn next_run_id(&mut self) -> u64 {
+        let id = self.run_counter;
+        self.run_counter += 1;
+        id
+    }
+
+    /// The sequential engine. With `timed`, the asynchronous backend:
+    /// the α-synchronizer contract makes message contents independent of
+    /// timing, so it runs the *same* payload pipeline with a
+    /// virtual-time layer on top that only tracks per-node completion
+    /// times, counts the synchronizer's empty-round markers, and — under
+    /// a patience budget — decides which frames arrive too late to be
+    /// delivered.
+    fn run_rounds<P, F>(
+        &mut self,
+        make: &F,
+        plan: &RunPlan,
+        run_id: u64,
+        traced: bool,
+        timed: bool,
+    ) -> BackendResult<P::Output>
+    where
+        P: Protocol,
+        F: Fn(NodeId, &dyn Topology) -> P,
+    {
+        let n = self.graph.node_count();
+        let config = self.config;
+        if timed {
             self.async_info = None;
-            Some(crate::asynchrony::AsyncTiming::new(
-                self.graph,
-                &self.peer,
-                self.config.delay,
-                self.config.patience,
-                self.config.seed,
-                run_id,
-            ))
-        } else {
-            None
+        }
+        let kernel = Kernel { graph: self.graph, config, plan, peers: &self.peers, run_id };
+        let mut net: SeqNet<'_, P::Msg> = SeqNet {
+            halted: BitSet::new(n),
+            node_present: plan.node_present0.clone(),
+            edge_present: plan.edge_present0.clone(),
+            next: (0..n).map(|_| Vec::new()).collect(),
+            pending: Vec::new(),
+            timing: timed.then(|| {
+                AsyncTiming::new(
+                    self.graph,
+                    &self.peers,
+                    config.delay,
+                    config.patience,
+                    config.seed,
+                    run_id,
+                )
+            }),
         };
         // All halted + `plan.last_wake` reached ⇒ nothing can wake up
         // again (neither a recovery nor a scheduled topology event).
         let last_wake = plan.last_wake;
-        let mut node_present = plan.node_present0.clone();
-        let mut edge_present = plan.edge_present0.clone();
-        let crash_round = &plan.crash_round;
-        let recovery_round = &plan.recovery_round;
-        let join_round = &plan.join_round;
-        let leave_round = &plan.leave_round;
-        let edge_events = &plan.edge_events;
         let mut edge_event_idx = 0usize;
 
         let mut protos: Vec<P> = (0..n).map(|v| make(v, self.graph)).collect();
-        let mut rngs: Vec<_> = (0..n).map(|v| rng::node_rng(self.config.seed, run_id, v)).collect();
-        let mut halted = BitSet::new(n);
+        let mut rngs: Vec<_> = (0..n).map(|v| rng::node_rng(config.seed, run_id, v)).collect();
         let mut inbox: Vec<Vec<(Port, P::Msg)>> = (0..n).map(|_| Vec::new()).collect();
-        let mut next: Vec<Vec<(Port, P::Msg)>> = (0..n).map(|_| Vec::new()).collect();
-        // Messages duplicated or reordered into a later round:
-        // `(delivery_round, receiver, receiver port, send_round, payload)`.
-        // The send round is carried so the asynchronous backend can drop
-        // every copy of a frame that arrived past its patience deadline.
-        let mut pending: Vec<(usize, NodeId, Port, usize, P::Msg)> = Vec::new();
         let mut outbox: Vec<(Port, P::Msg)> = Vec::new();
         let mut sent = vec![false; self.graph.max_degree()];
         let mut fault: Option<SimError> = None;
-        let mut stats = RunStats::default();
+        let mut tally = Tally::new(traced);
         // Receiver-side integrity reports (Context::note_rejected /
-        // note_quarantined), folded into `stats` after the run so the
+        // note_quarantined), folded into the stats after the run so the
         // quiescence detector's frames() view is unaffected.
         let mut integrity = Integrity::default();
 
         // Round 0: on_start.
         let mut round = 0usize;
-        let mut round_max_bits = 0usize;
         for v in 0..n {
-            if !node_present[v] {
+            if !net.node_present[v] {
                 // Absent at round 0: silent until it joins (if ever).
-                halted.set(v, true);
+                net.halted.set(v, true);
                 continue;
             }
             // The word-packed mask cannot hand out `&mut bool`, so the
             // node's halt flag is copied out for the callback and written
             // back before anyone else can observe it.
-            let mut halt_flag = halted[v];
+            let mut halt_flag = net.halted[v];
             let mut ctx = Context {
                 node: v,
                 round,
@@ -1254,47 +1187,30 @@ impl<'g> Network<'g> {
                 integrity: &mut integrity,
             };
             protos[v].on_start(&mut ctx);
-            halted.set(v, halt_flag);
-            self.flush(
-                v,
-                round,
-                &mut outbox,
-                &mut sent,
-                &halted,
-                &node_present,
-                &edge_present,
-                &mut next,
-                &mut pending,
-                &mut stats,
-                &mut round_max_bits,
-                trace.as_deref_mut(),
-                &plan,
-                run_id,
-                timing.as_mut(),
-            );
-            if halted[v] {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(TraceEvent::Halt { round, node: v });
-                }
+            net.halted.set(v, halt_flag);
+            kernel.flush(v, round, &mut outbox, &mut sent, &mut tally, &mut net);
+            if net.halted[v] {
+                tally.record(TraceEvent::Halt { round, node: v });
             }
             if let Some(err) = fault.take() {
                 return Err(err);
             }
         }
-        stats.rounds = stats.rounds.saturating_add(1);
-        stats.charged_rounds = stats.charged_rounds.saturating_add(self.charge(round_max_bits));
-        self.sample_round(run_id, round, &stats, &integrity);
+        tally.stats.rounds = tally.stats.rounds.saturating_add(1);
+        tally.stats.charged_rounds =
+            tally.stats.charged_rounds.saturating_add(self.charge(tally.round_max_bits));
+        self.sample_round(run_id, round, &tally.stats, &integrity);
 
         let mut quiet_rounds = 0usize;
-        let mut last_messages = stats.frames();
+        let mut last_messages = tally.stats.frames();
         loop {
-            if halted.all() && round >= last_wake {
+            if net.halted.all() && round >= last_wake {
                 break;
             }
-            if let Some(k) = self.config.quiescence {
-                if stats.frames() == last_messages
-                    && next.iter().all(Vec::is_empty)
-                    && pending.is_empty()
+            if let Some(k) = config.quiescence {
+                if tally.stats.frames() == last_messages
+                    && net.next.iter().all(Vec::is_empty)
+                    && net.pending.is_empty()
                 {
                     quiet_rounds += 1;
                     if quiet_rounds >= k && round >= last_wake {
@@ -1303,57 +1219,56 @@ impl<'g> Network<'g> {
                 } else {
                     quiet_rounds = 0;
                 }
-                last_messages = stats.frames();
+                last_messages = tally.stats.frames();
             }
-            if round >= self.config.max_rounds {
+            if round >= config.max_rounds {
                 return Err(SimError::RoundLimitExceeded {
-                    limit: self.config.max_rounds,
-                    running: n - halted.count_ones(),
+                    limit: config.max_rounds,
+                    running: n - net.halted.count_ones(),
                 });
             }
             round += 1;
-            round_max_bits = 0;
+            tally.round_max_bits = 0;
             // Advance virtual time before this round's edge events: the
             // frames being timed were sent under the previous topology.
-            if let Some(tm) = timing.as_mut() {
-                tm.advance(round, &edge_present);
+            if let Some(tm) = net.timing.as_mut() {
+                tm.advance(round, &net.edge_present);
             }
             // Apply this round's edge events before anyone executes;
             // node events are applied at each node's slot below.
-            while edge_event_idx < edge_events.len() && edge_events[edge_event_idx].round == round {
-                let ev = edge_events[edge_event_idx];
+            while edge_event_idx < plan.edge_events.len()
+                && plan.edge_events[edge_event_idx].round == round
+            {
+                let ev = plan.edge_events[edge_event_idx];
                 edge_event_idx += 1;
                 match ev.kind {
-                    ChurnKind::EdgeUp { edge } => edge_present.set(edge, true),
-                    ChurnKind::EdgeDown { edge } => edge_present.set(edge, false),
+                    ChurnKind::EdgeUp { edge } => net.edge_present.set(edge, true),
+                    ChurnKind::EdgeDown { edge } => net.edge_present.set(edge, false),
                     ChurnKind::Join { .. } | ChurnKind::Leave { .. } => unreachable!(),
                 }
-                stats.churn_events = stats.churn_events.saturating_add(1);
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(TraceEvent::Churn { round, kind: ev.kind });
-                }
+                tally.stats.churn_events = tally.stats.churn_events.saturating_add(1);
+                tally.record(TraceEvent::Churn { round, kind: ev.kind });
             }
-            std::mem::swap(&mut inbox, &mut next);
+            std::mem::swap(&mut inbox, &mut net.next);
             // Under a patience budget, frames that resolved late at the
             // receiver are dropped wholesale — the slot payload here and
             // every duplicated/reordered copy at its due round below.
-            if let Some(tm) = timing.as_mut() {
+            if let Some(tm) = net.timing.as_mut() {
                 if tm.may_drop() {
                     for (v, slot) in inbox.iter_mut().enumerate() {
-                        let peer = &self.peer[v];
                         let before = slot.len();
-                        slot.retain(|&(q, _)| !tm.is_dropped(peer[q].0, v, round - 1));
+                        slot.retain(|&(q, _)| !tm.is_dropped(self.peers.get(v, q).0, v, round - 1));
                         tm.count_timing_drops((before - slot.len()) as u64);
                     }
                 }
             }
-            if !pending.is_empty() {
+            if !net.pending.is_empty() {
                 // Deliver duplicated/reordered messages that are due.
-                let mut rest = Vec::with_capacity(pending.len());
-                for (r, u, q, sr, msg) in pending.drain(..) {
+                let mut rest = Vec::with_capacity(net.pending.len());
+                for (r, u, q, sr, msg) in net.pending.drain(..) {
                     if r == round {
-                        if let Some(tm) = timing.as_mut() {
-                            if tm.is_dropped(self.peer[u][q].0, u, sr) {
+                        if let Some(tm) = net.timing.as_mut() {
+                            if tm.is_dropped(self.peers.get(u, q).0, u, sr) {
                                 tm.count_timing_drops(1);
                                 continue;
                             }
@@ -1363,96 +1278,59 @@ impl<'g> Network<'g> {
                         rest.push((r, u, q, sr, msg));
                     }
                 }
-                pending = rest;
+                net.pending = rest;
             }
             for v in 0..n {
-                if leave_round[v] == Some(round) {
+                if plan.leave_round[v] == Some(round) {
                     // Permanent leave: silent, like a crash that never
                     // recovers — but also absent from the topology, so
                     // no message can reach its ports again.
-                    node_present.set(v, false);
-                    halted.set(v, true);
+                    net.node_present.set(v, false);
+                    net.halted.set(v, true);
                     inbox[v].clear();
-                    stats.churn_events = stats.churn_events.saturating_add(1);
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record(TraceEvent::Churn { round, kind: ChurnKind::Leave { node: v } });
-                    }
+                    tally.stats.churn_events = tally.stats.churn_events.saturating_add(1);
+                    tally.record(TraceEvent::Churn { round, kind: ChurnKind::Leave { node: v } });
                     continue;
                 }
-                if join_round[v] == Some(round) {
+                // A join or a recovery boots a fresh instance; `boot` is
+                // the salt of its randomness stream.
+                let boot = if plan.join_round[v] == Some(round) {
                     // Join: fresh ports, empty registers, a randomness
                     // stream distinct from both boots and reboots.
-                    node_present.set(v, true);
-                    protos[v] = make(v, self.graph);
-                    rngs[v] = rng::node_rng(self.config.seed ^ 0x1099, run_id, v);
-                    halted.set(v, false);
-                    inbox[v].clear();
-                    stats.churn_events = stats.churn_events.saturating_add(1);
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record(TraceEvent::Churn { round, kind: ChurnKind::Join { node: v } });
-                    }
-                    let mut halt_flag = false;
-                    let mut ctx = Context {
-                        node: v,
-                        round,
-                        graph: self.graph,
-                        rng: &mut rngs[v],
-                        outbox: &mut outbox,
-                        sent: &mut sent,
-                        halted: &mut halt_flag,
-                        fault: &mut fault,
-                        integrity: &mut integrity,
-                    };
-                    protos[v].on_start(&mut ctx);
-                    halted.set(v, halt_flag);
-                    self.flush(
-                        v,
-                        round,
-                        &mut outbox,
-                        &mut sent,
-                        &halted,
-                        &node_present,
-                        &edge_present,
-                        &mut next,
-                        &mut pending,
-                        &mut stats,
-                        &mut round_max_bits,
-                        trace.as_deref_mut(),
-                        &plan,
-                        run_id,
-                        timing.as_mut(),
-                    );
-                    if let Some(err) = fault.take() {
-                        return Err(err);
-                    }
-                    continue;
-                }
-                if crash_round[v] == Some(round) && !halted[v] {
-                    halted.set(v, true); // crash-stop: silent, mid-protocol
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record(TraceEvent::Fault {
+                    net.node_present.set(v, true);
+                    tally.stats.churn_events = tally.stats.churn_events.saturating_add(1);
+                    tally.record(TraceEvent::Churn { round, kind: ChurnKind::Join { node: v } });
+                    Some(0x1099)
+                } else {
+                    if plan.crash_round[v] == Some(round) && !net.halted[v] {
+                        net.halted.set(v, true); // crash-stop: silent, mid-protocol
+                        tally.record(TraceEvent::Fault {
                             round,
                             kind: FaultKind::Crash,
                             node: v,
                             peer: None,
                         });
                     }
-                }
-                if recovery_round[v] == Some(round) {
-                    // Crash-recover: reboot with wiped state and a fresh
-                    // randomness stream, then run on_start as a cold boot.
-                    protos[v] = make(v, self.graph);
-                    rngs[v] = rng::node_rng(self.config.seed ^ 0xB007, run_id, v);
-                    halted.set(v, false);
-                    inbox[v].clear();
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record(TraceEvent::Fault {
+                    if plan.recovery_round[v] == Some(round) {
+                        // Crash-recover: reboot with wiped state and a
+                        // fresh randomness stream, then run on_start as a
+                        // cold boot.
+                        tally.record(TraceEvent::Fault {
                             round,
                             kind: FaultKind::Recover,
                             node: v,
                             peer: None,
                         });
+                        Some(0xB007)
+                    } else {
+                        None
                     }
+                };
+                if let Some(salt) = boot {
+                    protos[v] = make(v, self.graph);
+                    rngs[v] = rng::node_rng(config.seed ^ salt, run_id, v);
+                    net.halted.set(v, false);
+                    inbox[v].clear();
                     let mut halt_flag = false;
                     let mut ctx = Context {
                         node: v,
@@ -1466,35 +1344,19 @@ impl<'g> Network<'g> {
                         integrity: &mut integrity,
                     };
                     protos[v].on_start(&mut ctx);
-                    halted.set(v, halt_flag);
-                    self.flush(
-                        v,
-                        round,
-                        &mut outbox,
-                        &mut sent,
-                        &halted,
-                        &node_present,
-                        &edge_present,
-                        &mut next,
-                        &mut pending,
-                        &mut stats,
-                        &mut round_max_bits,
-                        trace.as_deref_mut(),
-                        &plan,
-                        run_id,
-                        timing.as_mut(),
-                    );
+                    net.halted.set(v, halt_flag);
+                    kernel.flush(v, round, &mut outbox, &mut sent, &mut tally, &mut net);
                     if let Some(err) = fault.take() {
                         return Err(err);
                     }
                     continue;
                 }
-                if halted[v] {
+                if net.halted[v] {
                     inbox[v].clear();
                     continue;
                 }
                 inbox[v].sort_by_key(|&(p, _)| p);
-                let mut halt_flag = halted[v];
+                let mut halt_flag = false;
                 let mut ctx = Context {
                     node: v,
                     round,
@@ -1507,229 +1369,32 @@ impl<'g> Network<'g> {
                     integrity: &mut integrity,
                 };
                 protos[v].on_round(&mut ctx, &inbox[v]);
-                halted.set(v, halt_flag);
+                net.halted.set(v, halt_flag);
                 inbox[v].clear();
-                self.flush(
-                    v,
-                    round,
-                    &mut outbox,
-                    &mut sent,
-                    &halted,
-                    &node_present,
-                    &edge_present,
-                    &mut next,
-                    &mut pending,
-                    &mut stats,
-                    &mut round_max_bits,
-                    trace.as_deref_mut(),
-                    &plan,
-                    run_id,
-                    timing.as_mut(),
-                );
-                if halted[v] {
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record(TraceEvent::Halt { round, node: v });
-                    }
+                kernel.flush(v, round, &mut outbox, &mut sent, &mut tally, &mut net);
+                if net.halted[v] {
+                    tally.record(TraceEvent::Halt { round, node: v });
                 }
                 if let Some(err) = fault.take() {
                     return Err(err);
                 }
             }
-            stats.rounds = stats.rounds.saturating_add(1);
-            stats.charged_rounds = stats.charged_rounds.saturating_add(self.charge(round_max_bits));
-            self.sample_round(run_id, round, &stats, &integrity);
+            tally.stats.rounds = tally.stats.rounds.saturating_add(1);
+            tally.stats.charged_rounds =
+                tally.stats.charged_rounds.saturating_add(self.charge(tally.round_max_bits));
+            self.sample_round(run_id, round, &tally.stats, &integrity);
         }
 
+        let mut stats = tally.stats;
         integrity.fold_into(&mut stats);
-        if let Some(tm) = timing.take() {
+        if let Some(tm) = net.timing.take() {
             let info = tm.finish();
             stats.markers = info.markers;
             self.async_info = Some(info);
         }
-        self.totals.record(&stats);
         let sessions = protos.iter().map(Protocol::session).collect();
-        Ok(RunOutcome {
-            outputs: protos.into_iter().map(Protocol::into_output).collect(),
-            stats,
-            sessions,
-        })
-    }
-
-    /// Delivers `v`'s outbox into `next` (or, for duplicated/reordered
-    /// messages, into `pending`), recording statistics and applying the
-    /// message-level fault model.
-    #[allow(clippy::too_many_arguments)]
-    fn flush<M: BitSize + Clone>(
-        &self,
-        v: NodeId,
-        round: usize,
-        outbox: &mut Vec<(Port, M)>,
-        sent: &mut [bool],
-        halted: &BitSet,
-        node_present: &BitSet,
-        edge_present: &BitSet,
-        next: &mut [Vec<(Port, M)>],
-        pending: &mut Vec<(usize, NodeId, Port, usize, M)>,
-        stats: &mut RunStats,
-        round_max_bits: &mut usize,
-        mut trace: Option<&mut Trace>,
-        plan: &RunPlan,
-        run_id: u64,
-        mut timing: Option<&mut crate::asynchrony::AsyncTiming>,
-    ) {
-        if let Some(tm) = timing.as_deref_mut() {
-            tm.begin_step(v);
-        }
-        for (port, msg) in outbox.drain(..) {
-            sent[port] = false;
-            let bits = msg.bit_size();
-            match msg.class() {
-                MsgClass::Protocol => stats.messages = stats.messages.saturating_add(1),
-                MsgClass::Retransmission => {
-                    stats.retransmissions = stats.retransmissions.saturating_add(1);
-                }
-                MsgClass::Heartbeat => stats.heartbeats = stats.heartbeats.saturating_add(1),
-                MsgClass::Maintenance => stats.maintenance = stats.maintenance.saturating_add(1),
-            }
-            stats.total_bits = stats.total_bits.saturating_add(bits as u64);
-            stats.max_message_bits = stats.max_message_bits.max(bits);
-            *round_max_bits = (*round_max_bits).max(bits);
-            let mut oversize = false;
-            if let Model::Congest { bits: budget } = self.config.model {
-                if bits > budget {
-                    oversize = true;
-                    match self.config.violation {
-                        ViolationPolicy::Panic => panic!(
-                            "CONGEST violation: node {v} sent {bits} bits over port {port} (budget {budget})"
-                        ),
-                        ViolationPolicy::Record => {
-                            stats.violations = stats.violations.saturating_add(1);
-                        }
-                    }
-                }
-            }
-            let (u, q) = self.peer[v][port];
-            if let Some(t) = trace.as_deref_mut() {
-                t.record(TraceEvent::Send { round, from: v, port, to: u, bits, oversize });
-            }
-            // An absent edge or receiver swallows the message at the
-            // sender — no channel exists, so no fault draw either.
-            let e = self.graph.port(v, port).1;
-            if !edge_present[e] || !node_present[u] {
-                stats.churn_drops = stats.churn_drops.saturating_add(1);
-                continue;
-            }
-            // The synchronizer frame on this port carries a payload, so
-            // no marker is owed — whatever the channel does to the
-            // payload downstream (loss, corruption, partition) happens
-            // inside an already-sent frame.
-            if let Some(tm) = timing.as_deref_mut() {
-                tm.note_frame(port);
-            }
-            // An active partition cut swallows the message outright (no
-            // randomness involved, so no fault draw here either).
-            if plan.partitioned(round, v, u) {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(TraceEvent::Fault {
-                        round,
-                        kind: FaultKind::Partition,
-                        node: v,
-                        peer: Some(u),
-                    });
-                }
-                continue;
-            }
-            // Probabilistic faults, drawn from an RNG keyed on the
-            // message coordinates: an all-zero plan draws nothing (so
-            // run_faulty degrades to run() exactly) and the draws are
-            // independent of flush order (so the sharded executor
-            // reproduces them bit-for-bit).
-            let fate = plan.message_fate(self.config.seed, run_id, round, v, port);
-            if fate.lost {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(TraceEvent::Fault {
-                        round,
-                        kind: FaultKind::Loss,
-                        node: v,
-                        peer: Some(u),
-                    });
-                }
-                continue;
-            }
-            // Byzantine equivocation: a listed sender tampers with every
-            // outgoing copy, independently per port, before the channel
-            // applies its own faults. Draws come from the dedicated
-            // byz stream keyed on the message coordinates.
-            let mut msg = msg;
-            if plan.equivocator[v] {
-                let mut brng = rng::byz_rng(self.config.seed, run_id, round, v, port);
-                let kind = CorruptKind::draw(&mut brng);
-                stats.equivocations = stats.equivocations.saturating_add(1);
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(TraceEvent::Fault {
-                        round,
-                        kind: FaultKind::Equivocate { kind },
-                        node: v,
-                        peer: Some(u),
-                    });
-                }
-                match msg.corrupted(kind, &mut brng) {
-                    Some(m) => msg = m,
-                    // Tampering destroyed decodability: the frame never
-                    // reaches the receiver (counted and traced above).
-                    None => continue,
-                }
-            }
-            // Channel corruption drawn by the fault plan: the damaged
-            // value replaces the original (duplicates carry the damage
-            // too — the channel corrupted the frame, not one copy).
-            if let Some(kind) = fate.corrupt {
-                let mut crng = rng::corrupt_rng(self.config.seed, run_id, round, v, port);
-                stats.corruptions = stats.corruptions.saturating_add(1);
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(TraceEvent::Fault {
-                        round,
-                        kind: FaultKind::Corrupt { kind },
-                        node: v,
-                        peer: Some(u),
-                    });
-                }
-                match msg.corrupted(kind, &mut crng) {
-                    Some(m) => msg = m,
-                    None => continue,
-                }
-            }
-            if fate.duplicated {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(TraceEvent::Fault {
-                        round,
-                        kind: FaultKind::Duplicate,
-                        node: v,
-                        peer: Some(u),
-                    });
-                }
-                // The duplicate trails the original by one round.
-                pending.push((round + 2, u, q, round, msg.clone()));
-            }
-            if let Some(delay) = fate.delayed {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(TraceEvent::Fault {
-                        round,
-                        kind: FaultKind::Reorder { delay },
-                        node: v,
-                        peer: Some(u),
-                    });
-                }
-                pending.push((round + 1 + delay, u, q, round, msg));
-                continue;
-            }
-            if !halted[u] {
-                next[u].push((q, msg));
-            }
-        }
-        if let Some(tm) = timing {
-            tm.end_step(v, edge_present, node_present);
-        }
+        let outputs = protos.into_iter().map(Protocol::into_output).collect();
+        Ok((RunOutcome { outputs, stats, sessions }, tally.trace))
     }
 
     /// Charged cost of a round whose widest message had `max_bits` bits.
@@ -1744,9 +1409,24 @@ impl<'g> Network<'g> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::model::ViolationPolicy;
     use dam_graph::generators;
+
+    /// One run of `make` under `plan`, returned with its trace.
+    pub(crate) fn traced<P, F>(
+        net: &mut Network<'_>,
+        make: F,
+        plan: &ExecPlan,
+    ) -> Result<(RunOutcome<P::Output>, Trace), SimError>
+    where
+        P: Protocol + Send,
+        F: Fn(NodeId, &dyn Topology) -> P + Sync,
+    {
+        let mut trace = Trace::new();
+        net.execute(make, plan, Some(&mut trace)).map(|out| (out, trace))
+    }
 
     /// Token passing around a directed cycle for a fixed number of laps.
     struct RingToken {
@@ -1792,7 +1472,13 @@ mod tests {
     fn token_travels_and_stats_add_up() {
         let g = generators::cycle(6);
         let mut net = Network::new(&g, SimConfig::local().seed(3));
-        let out = net.run(|v, _| RingToken { laps: 12, holder: v == 0, received: 0 }).unwrap();
+        let out = net
+            .execute(
+                |v, _| RingToken { laps: 12, holder: v == 0, received: 0 },
+                &ExecPlan::default(),
+                None,
+            )
+            .unwrap();
         // 12 hops = 12 messages forwarded (1 initial + 11 forwards).
         assert_eq!(out.stats.messages, 12);
         assert_eq!(out.stats.total_bits, 12 * 32);
@@ -1819,7 +1505,7 @@ mod tests {
         }
         let g = generators::complete(4);
         let mut net = Network::new(&g, SimConfig::congest(64));
-        let out = net.run(|_, _| Blaster).unwrap();
+        let out = net.execute(|_, _| Blaster, &ExecPlan::default(), None).unwrap();
         assert_eq!(out.stats.violations, 12); // 4 nodes × 3 neighbours
         assert_eq!(out.stats.max_message_bits, 640);
     }
@@ -1841,7 +1527,7 @@ mod tests {
         }
         let g = generators::complete(3);
         let mut net = Network::new(&g, SimConfig::congest(64).violation(ViolationPolicy::Panic));
-        let _ = net.run(|_, _| Blaster);
+        let _ = net.execute(|_, _| Blaster, &ExecPlan::default(), None);
     }
 
     #[test]
@@ -1862,7 +1548,7 @@ mod tests {
         }
         let g = generators::path(3);
         let mut net = Network::new(&g, SimConfig::congest(64).cost(CostModel::Pipelined));
-        let out = net.run(|_, _| WideOnce).unwrap();
+        let out = net.execute(|_, _| WideOnce, &ExecPlan::default(), None).unwrap();
         // Round 0 carried a 256-bit message over a 64-bit budget: 4
         // charged; round 1 is quiet: 1 charged.
         assert_eq!(out.stats.rounds, 2);
@@ -1880,7 +1566,7 @@ mod tests {
         }
         let g = generators::path(2);
         let mut net = Network::new(&g, SimConfig::local().max_rounds(10));
-        let err = net.run(|_, _| Forever).unwrap_err();
+        let err = net.execute(|_, _| Forever, &ExecPlan::default(), None).unwrap_err();
         assert!(matches!(err, SimError::RoundLimitExceeded { limit: 10, running: 2 }));
     }
 
@@ -1901,7 +1587,7 @@ mod tests {
         }
         let g = generators::path(2);
         let mut net = Network::new(&g, SimConfig::local());
-        let err = net.run(|_, _| Doubler).unwrap_err();
+        let err = net.execute(|_, _| Doubler, &ExecPlan::default(), None).unwrap_err();
         assert!(matches!(err, SimError::DuplicateSend { node: 0, port: 0, round: 0 }));
     }
 
@@ -1927,7 +1613,9 @@ mod tests {
         let g = generators::gnp(10, 0.3, &mut rand::rngs::StdRng::seed_from_u64(1));
         let run = |seed| {
             let mut net = Network::new(&g, SimConfig::local().seed(seed));
-            net.run(|_, _| Coins { flips: Vec::new() }).unwrap().outputs
+            net.execute(|_, _| Coins { flips: Vec::new() }, &ExecPlan::default(), None)
+                .unwrap()
+                .outputs
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
@@ -1937,8 +1625,12 @@ mod tests {
     fn traced_run_matches_stats() {
         let g = generators::cycle(6);
         let mut net = Network::new(&g, SimConfig::local().seed(3));
-        let (out, trace) =
-            net.run_traced(|v, _| RingToken { laps: 12, holder: v == 0, received: 0 }).unwrap();
+        let (out, trace) = traced(
+            &mut net,
+            |v, _| RingToken { laps: 12, holder: v == 0, received: 0 },
+            &ExecPlan::default(),
+        )
+        .unwrap();
         let sends = trace.events().iter().filter(|e| matches!(e, TraceEvent::Send { .. })).count();
         assert_eq!(sends as u64, out.stats.messages);
         // Every node halts eventually, and the trace knows when.
@@ -2051,10 +1743,14 @@ mod tests {
             .with_squall(Squall { from_round: 2, until_round: 6, loss: 0.3, corrupt: 0.1 })
             .validate(&g)
             .unwrap();
-        // And run_faulty surfaces validation errors.
+        // And execute surfaces validation errors.
         let mut net = Network::new(&g, SimConfig::local());
         let err = net
-            .run_faulty(|_, _| Chatter { rounds: 3, heard: 0 }, &FaultPlan::lossy(7.0))
+            .execute(
+                |_, _| Chatter { rounds: 3, heard: 0 },
+                &ExecPlan::from(FaultPlan::lossy(7.0)),
+                None,
+            )
             .unwrap_err();
         assert!(matches!(err, SimError::InvalidFaultPlan { .. }));
     }
@@ -2071,7 +1767,8 @@ mod tests {
         });
         let mut net = Network::new(&g, SimConfig::local().seed(9));
         let (_, trace) =
-            net.run_faulty_traced(|_, _| Chatter { rounds: 6, heard: 0 }, &plan).unwrap();
+            traced(&mut net, |_, _| Chatter { rounds: 6, heard: 0 }, &ExecPlan::from(plan.clone()))
+                .unwrap();
         let loss_rounds: Vec<usize> = trace
             .faults()
             .filter(|e| matches!(e, TraceEvent::Fault { kind: FaultKind::Loss, .. }))
@@ -2090,7 +1787,9 @@ mod tests {
         // single draw: the overlaid probabilities stay zero outside it.
         let g = generators::cycle(4);
         let mut clean = Network::new(&g, SimConfig::local().seed(9));
-        let base = clean.run(|_, _| Chatter { rounds: 5, heard: 0 }).unwrap();
+        let base = clean
+            .execute(|_, _| Chatter { rounds: 5, heard: 0 }, &ExecPlan::default(), None)
+            .unwrap();
         let plan = FaultPlan::default().with_squall(Squall {
             from_round: 10_000,
             until_round: 10_001,
@@ -2098,7 +1797,9 @@ mod tests {
             corrupt: 1.0,
         });
         let mut net = Network::new(&g, SimConfig::local().seed(9));
-        let out = net.run_faulty(|_, _| Chatter { rounds: 5, heard: 0 }, &plan).unwrap();
+        let out = net
+            .execute(|_, _| Chatter { rounds: 5, heard: 0 }, &ExecPlan::from(plan.clone()), None)
+            .unwrap();
         assert_eq!(out.outputs, base.outputs);
         assert_eq!(out.stats, base.stats);
     }
@@ -2116,7 +1817,8 @@ mod tests {
         });
         let mut net = Network::new(&g, SimConfig::local().seed(5));
         let (out, trace) =
-            net.run_faulty_traced(|_, _| Chatter { rounds: 5, heard: 0 }, &plan).unwrap();
+            traced(&mut net, |_, _| Chatter { rounds: 5, heard: 0 }, &ExecPlan::from(plan.clone()))
+                .unwrap();
         let corrupt_rounds: Vec<usize> = trace
             .faults()
             .filter(|e| matches!(e, TraceEvent::Fault { kind: FaultKind::Corrupt { .. }, .. }))
@@ -2133,11 +1835,15 @@ mod tests {
         let g = generators::cycle(4);
         let plan = FaultPlan::lossy(0.2);
         let mut bare = Network::new(&g, SimConfig::local().seed(3).max_rounds(5_000));
-        let base = bare.run_faulty(|_, _| Chatter { rounds: 5, heard: 0 }, &plan).unwrap();
+        let base = bare
+            .execute(|_, _| Chatter { rounds: 5, heard: 0 }, &ExecPlan::from(plan.clone()), None)
+            .unwrap();
         let sink = Arc::new(RecordingSink::new());
         let mut net = Network::new(&g, SimConfig::local().seed(3).max_rounds(5_000));
         net.set_stats_sink(Some(SinkHandle::from(Arc::clone(&sink))));
-        let out = net.run_faulty(|_, _| Chatter { rounds: 5, heard: 0 }, &plan).unwrap();
+        let out = net
+            .execute(|_, _| Chatter { rounds: 5, heard: 0 }, &ExecPlan::from(plan.clone()), None)
+            .unwrap();
         // Observation changed nothing…
         assert_eq!(out.outputs, base.outputs);
         assert_eq!(out.stats, base.stats);
@@ -2164,7 +1870,8 @@ mod tests {
         let plan = FaultPlan::crashes(vec![(0, 2)]).with_recoveries(vec![(0, 5)]);
         let mut net = Network::new(&g, SimConfig::local().seed(11));
         let (out, trace) =
-            net.run_faulty_traced(|_, _| Chatter { rounds: 8, heard: 0 }, &plan).unwrap();
+            traced(&mut net, |_, _| Chatter { rounds: 8, heard: 0 }, &ExecPlan::from(plan.clone()))
+                .unwrap();
         let crash = trace
             .faults()
             .find(|e| matches!(e, TraceEvent::Fault { kind: FaultKind::Crash, .. }))
@@ -2194,7 +1901,8 @@ mod tests {
         let plan = FaultPlan::default().with_dup(1.0);
         let mut net = Network::new(&g, SimConfig::local().seed(5));
         let (out, trace) =
-            net.run_faulty_traced(|_, _| Chatter { rounds: 4, heard: 0 }, &plan).unwrap();
+            traced(&mut net, |_, _| Chatter { rounds: 4, heard: 0 }, &ExecPlan::from(plan.clone()))
+                .unwrap();
         let dups = trace
             .faults()
             .filter(|e| matches!(e, TraceEvent::Fault { kind: FaultKind::Duplicate, .. }))
@@ -2204,7 +1912,9 @@ mod tests {
         // (minus copies still in flight at halt time), so nodes hear
         // strictly more than the fault-free count.
         let mut clean = Network::new(&g, SimConfig::local().seed(5));
-        let base = clean.run(|_, _| Chatter { rounds: 4, heard: 0 }).unwrap();
+        let base = clean
+            .execute(|_, _| Chatter { rounds: 4, heard: 0 }, &ExecPlan::default(), None)
+            .unwrap();
         let heard: usize = out.outputs.iter().sum();
         let base_heard: usize = base.outputs.iter().sum();
         assert!(heard > base_heard, "duplicates not delivered ({heard} vs {base_heard})");
@@ -2216,7 +1926,8 @@ mod tests {
         let plan = FaultPlan::default().with_reorder(1.0);
         let mut net = Network::new(&g, SimConfig::local().seed(6));
         let (out, trace) =
-            net.run_faulty_traced(|_, _| Chatter { rounds: 6, heard: 0 }, &plan).unwrap();
+            traced(&mut net, |_, _| Chatter { rounds: 6, heard: 0 }, &ExecPlan::from(plan.clone()))
+                .unwrap();
         let delays: Vec<usize> = trace
             .faults()
             .filter_map(|e| match e {
@@ -2242,7 +1953,8 @@ mod tests {
         });
         let mut net = Network::new(&g, SimConfig::local().seed(9));
         let (_, trace) =
-            net.run_faulty_traced(|_, _| Chatter { rounds: 6, heard: 0 }, &plan).unwrap();
+            traced(&mut net, |_, _| Chatter { rounds: 6, heard: 0 }, &ExecPlan::from(plan.clone()))
+                .unwrap();
         let cut: Vec<(usize, NodeId, Option<NodeId>)> = trace
             .faults()
             .filter_map(|e| match e {
@@ -2275,7 +1987,8 @@ mod tests {
         });
         let mut net = Network::new(&g, SimConfig::local().seed(13));
         let (out, trace) =
-            net.run_faulty_traced(|_, _| Chatter { rounds: 4, heard: 0 }, &plan).unwrap();
+            traced(&mut net, |_, _| Chatter { rounds: 4, heard: 0 }, &ExecPlan::from(plan.clone()))
+                .unwrap();
         for e in trace.faults() {
             if let TraceEvent::Fault { kind: FaultKind::Loss, node, peer, .. } = e {
                 let pair = (*node, peer.unwrap());
@@ -2297,7 +2010,8 @@ mod tests {
             .with_partition(Partition { from_round: 2, until_round: 4, side: (0..8).collect() });
         let go = || {
             let mut net = Network::new(&g, SimConfig::local().seed(21));
-            net.run_faulty_traced(|_, _| Chatter { rounds: 10, heard: 0 }, &plan).unwrap()
+            traced(&mut net, |_, _| Chatter { rounds: 10, heard: 0 }, &ExecPlan::from(plan.clone()))
+                .unwrap()
         };
         let (out_a, trace_a) = go();
         let (out_b, trace_b) = go();
@@ -2354,8 +2068,13 @@ mod tests {
         let faults = FaultPlan::crashes(vec![(1, 3)]);
         assert!(matches!(churn.validate_against(&faults), Err(SimError::InvalidChurnPlan { .. })));
         let mut net = Network::new(&g, SimConfig::local());
-        let err =
-            net.run_churned(|_, _| Chatter { rounds: 5, heard: 0 }, &faults, &churn).unwrap_err();
+        let err = net
+            .execute(
+                |_, _| Chatter { rounds: 5, heard: 0 },
+                &ExecPlan::new(faults.clone(), churn.clone()),
+                None,
+            )
+            .unwrap_err();
         assert!(matches!(err, SimError::InvalidChurnPlan { .. }));
     }
 
@@ -2366,13 +2085,12 @@ mod tests {
         let g = generators::path(2);
         let churn = ChurnPlan::default().with_event(2, ChurnKind::EdgeDown { edge: 0 });
         let mut net = Network::new(&g, SimConfig::local().seed(4));
-        let (out, trace) = net
-            .run_churned_traced(
-                |_, _| Chatter { rounds: 6, heard: 0 },
-                &FaultPlan::default(),
-                &churn,
-            )
-            .unwrap();
+        let (out, trace) = traced(
+            &mut net,
+            |_, _| Chatter { rounds: 6, heard: 0 },
+            &ExecPlan::from(churn.clone()),
+        )
+        .unwrap();
         assert_eq!(out.stats.churn_events, 1);
         // Rounds 2..=5 each see both nodes broadcast into the cut edge,
         // plus the round-6 halt round: sends from rounds 0..2 deliver.
@@ -2394,7 +2112,7 @@ mod tests {
             .with_event(4, ChurnKind::EdgeUp { edge: 0 });
         let mut net2 = Network::new(&g, SimConfig::local().seed(4));
         let out2 = net2
-            .run_churned(|_, _| Chatter { rounds: 6, heard: 0 }, &FaultPlan::default(), &flap)
+            .execute(|_, _| Chatter { rounds: 6, heard: 0 }, &ExecPlan::from(flap.clone()), None)
             .unwrap();
         assert_eq!(out2.stats.churn_events, 2);
         assert!(
@@ -2408,13 +2126,12 @@ mod tests {
         let g = generators::cycle(4);
         let churn = ChurnPlan::default().with_event(3, ChurnKind::Leave { node: 0 });
         let mut net = Network::new(&g, SimConfig::local().seed(8));
-        let (out, trace) = net
-            .run_churned_traced(
-                |_, _| Chatter { rounds: 8, heard: 0 },
-                &FaultPlan::default(),
-                &churn,
-            )
-            .unwrap();
+        let (out, trace) = traced(
+            &mut net,
+            |_, _| Chatter { rounds: 8, heard: 0 },
+            &ExecPlan::from(churn.clone()),
+        )
+        .unwrap();
         // Node 0 sends before round 3 and never after.
         let send_rounds: Vec<usize> = trace.sends_of(0).map(TraceEvent::round).collect();
         assert!(send_rounds.iter().any(|&r| r < 3));
@@ -2431,13 +2148,12 @@ mod tests {
             .with_absent_nodes(vec![2])
             .with_event(4, ChurnKind::Join { node: 2 });
         let mut net = Network::new(&g, SimConfig::local().seed(12));
-        let (out, trace) = net
-            .run_churned_traced(
-                |_, _| Chatter { rounds: 9, heard: 0 },
-                &FaultPlan::default(),
-                &churn,
-            )
-            .unwrap();
+        let (out, trace) = traced(
+            &mut net,
+            |_, _| Chatter { rounds: 9, heard: 0 },
+            &ExecPlan::from(churn.clone()),
+        )
+        .unwrap();
         let send_rounds: Vec<usize> = trace.sends_of(2).map(TraceEvent::round).collect();
         assert!(send_rounds.iter().all(|&r| r >= 4), "absent node sent early: {send_rounds:?}");
         assert!(send_rounds.iter().any(|&r| r >= 4), "joined node never sent");
@@ -2456,8 +2172,12 @@ mod tests {
         let faults = FaultPlan::lossy(0.1).with_dup(0.05);
         let go = || {
             let mut net = Network::new(&g, SimConfig::local().seed(31));
-            net.run_churned_traced(|_, _| Chatter { rounds: 10, heard: 0 }, &faults, &churn)
-                .unwrap()
+            traced(
+                &mut net,
+                |_, _| Chatter { rounds: 10, heard: 0 },
+                &ExecPlan::new(faults.clone(), churn.clone()),
+            )
+            .unwrap()
         };
         let (out_a, trace_a) = go();
         let (out_b, trace_b) = go();

@@ -11,10 +11,11 @@
 //!
 //! * A distributed algorithm is a [`Protocol`]: a per-node state machine
 //!   driven by [`Protocol::on_round`].
-//! * A [`Network`] executes protocols over a [`dam_graph::Graph`]
-//!   topology, either sequentially ([`Network::run`]) or on multiple
-//!   threads ([`Network::run_parallel`]); both are deterministic given the
-//!   configured seed and produce identical results.
+//! * A [`Network`] executes protocols over a [`dam_graph::Topology`]
+//!   through one entry point, [`Network::execute`], on the sequential,
+//!   sharded or asynchronous backend [`SimConfig`] selects. All three
+//!   deliver messages through one kernel, are deterministic given the
+//!   configured seed, and produce identical results.
 //! * Messages implement [`BitSize`]; the engine accounts **bits per
 //!   message**, distinguishing the LOCAL model (unbounded messages,
 //!   Lemma 3.4's `O((|V|+|E|) log n)` floods) from CONGEST(`B`)
@@ -28,7 +29,7 @@
 //! # Example: distributed flood-max
 //!
 //! ```
-//! use dam_congest::{BitSize, Context, Network, Protocol, SimConfig};
+//! use dam_congest::{BitSize, Context, ExecPlan, Network, Protocol, SimConfig};
 //! use dam_graph::generators;
 //!
 //! /// Every node learns the maximum id in its connected component.
@@ -56,7 +57,7 @@
 //!
 //! let g = generators::cycle(8);
 //! let mut net = Network::new(&g, SimConfig::local().seed(1));
-//! let out = net.run(|_, _| FloodMax { best: 0 }).unwrap();
+//! let out = net.execute(|_, _| FloodMax { best: 0 }, &ExecPlan::default(), None).unwrap();
 //! assert!(out.outputs.iter().all(|&b| b == 7));
 //! ```
 
@@ -64,6 +65,7 @@ pub mod adaptive;
 pub mod asynchrony;
 pub mod engine;
 pub mod error;
+mod kernel;
 pub mod maintenance;
 pub mod message;
 pub mod model;
@@ -78,7 +80,7 @@ pub mod transport;
 pub use adaptive::{AdaptivePolicy, EpochObservation};
 pub use asynchrony::{AsyncInfo, AsyncNetwork, AsyncStats};
 pub use engine::{
-    ChurnEvent, ChurnPlan, FaultPlan, LinkFault, Network, Partition, RunOutcome, Squall,
+    ChurnEvent, ChurnPlan, ExecPlan, FaultPlan, LinkFault, Network, Partition, RunOutcome, Squall,
 };
 pub use error::SimError;
 pub use maintenance::{AsMaintenance, Maint};

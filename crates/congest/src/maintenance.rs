@@ -116,6 +116,7 @@ impl<P: Protocol> Protocol for AsMaintenance<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ExecPlan;
     use crate::engine::Network;
     use crate::model::SimConfig;
     use dam_graph::generators;
@@ -169,9 +170,17 @@ mod tests {
     fn wrapped_run_matches_plain_run_but_bills_maintenance() {
         let g = generators::cycle(6);
         let mut plain = Network::new(&g, SimConfig::local().seed(7));
-        let base = plain.run(|_, _| Gossip { rounds: 5, heard: 0 }).unwrap();
+        let base = plain
+            .execute(|_, _| Gossip { rounds: 5, heard: 0 }, &ExecPlan::default(), None)
+            .unwrap();
         let mut net = Network::new(&g, SimConfig::local().seed(7));
-        let out = net.run(|_, _| AsMaintenance::new(Gossip { rounds: 5, heard: 0 })).unwrap();
+        let out = net
+            .execute(
+                |_, _| AsMaintenance::new(Gossip { rounds: 5, heard: 0 }),
+                &ExecPlan::default(),
+                None,
+            )
+            .unwrap();
         assert_eq!(out.outputs, base.outputs);
         assert_eq!(out.stats.rounds, base.stats.rounds);
         assert_eq!(out.stats.messages, 0, "protocol frames must be reclassified");

@@ -61,7 +61,7 @@ pub enum CostModel {
 }
 
 /// Which execution engine a [`crate::Network`] uses for
-/// [`crate::Network::execute`] and the plan-driven entry points.
+/// [`crate::Network::execute`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// The single-threaded reference engine (global round barrier).

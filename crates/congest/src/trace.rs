@@ -2,7 +2,7 @@
 //!
 //! Traces are for debugging protocols and for teaching: they show who
 //! sent what, how wide it was, and when each node left the computation.
-//! Collected by [`crate::Network::run_traced`]; rendering is plain text.
+//! Collected by [`crate::Network::execute`]; rendering is plain text.
 
 use std::fmt;
 
@@ -37,8 +37,8 @@ pub enum TraceEvent {
         /// The node.
         node: NodeId,
     },
-    /// The engine injected a fault (only under
-    /// [`crate::Network::run_faulty`] with a non-empty plan).
+    /// The engine injected a fault (only with a non-empty
+    /// [`crate::FaultPlan`]).
     Fault {
         /// The round of the injection.
         round: usize,
@@ -49,8 +49,8 @@ pub enum TraceEvent {
         /// The intended receiver, for message-level faults.
         peer: Option<NodeId>,
     },
-    /// The engine applied a topology event (only under
-    /// [`crate::Network::run_churned`] with a non-empty plan).
+    /// The engine applied a topology event (only with a non-empty
+    /// [`crate::ChurnPlan`]).
     Churn {
         /// The round at whose start the event was applied.
         round: usize,
@@ -219,8 +219,9 @@ impl Trace {
         Trace::default()
     }
 
-    pub(crate) fn record(&mut self, event: TraceEvent) {
-        self.events.push(event);
+    /// Appends a run's events.
+    pub(crate) fn extend(&mut self, events: Vec<TraceEvent>) {
+        self.events.extend(events);
     }
 
     /// All events in order.
@@ -347,9 +348,11 @@ mod tests {
     #[test]
     fn queries_and_summary() {
         let mut t = Trace::new();
-        t.record(TraceEvent::Send { round: 0, from: 0, port: 0, to: 1, bits: 8, oversize: false });
-        t.record(TraceEvent::Send { round: 1, from: 1, port: 1, to: 2, bits: 16, oversize: true });
-        t.record(TraceEvent::Halt { round: 1, node: 0 });
+        t.extend(vec![
+            TraceEvent::Send { round: 0, from: 0, port: 0, to: 1, bits: 8, oversize: false },
+            TraceEvent::Send { round: 1, from: 1, port: 1, to: 2, bits: 16, oversize: true },
+            TraceEvent::Halt { round: 1, node: 0 },
+        ]);
         assert_eq!(t.len(), 3);
         assert_eq!(t.round(1).count(), 2);
         assert_eq!(t.sends_of(1).count(), 1);
@@ -363,9 +366,11 @@ mod tests {
     #[test]
     fn bandwidth_check_flags_each_oversize_send() {
         let mut t = Trace::new();
-        t.record(TraceEvent::Send { round: 0, from: 0, port: 0, to: 1, bits: 8, oversize: false });
-        t.record(TraceEvent::Send { round: 1, from: 1, port: 1, to: 2, bits: 40, oversize: false });
-        t.record(TraceEvent::Halt { round: 1, node: 0 });
+        t.extend(vec![
+            TraceEvent::Send { round: 0, from: 0, port: 0, to: 1, bits: 8, oversize: false },
+            TraceEvent::Send { round: 1, from: 1, port: 1, to: 2, bits: 40, oversize: false },
+            TraceEvent::Halt { round: 1, node: 0 },
+        ]);
         let ok = t.check_bandwidth(Model::Congest { bits: 64 });
         assert!(ok.conforms() && !ok.is_exempt());
         assert_eq!(ok, Bandwidth::Checked { budget: 64, sends: 2, widest: 40, violations: vec![] });
@@ -392,14 +397,14 @@ mod tests {
     #[test]
     fn local_runs_are_exempt_not_conformant() {
         let mut t = Trace::new();
-        t.record(TraceEvent::Send {
+        t.extend(vec![TraceEvent::Send {
             round: 0,
             from: 0,
             port: 0,
             to: 1,
             bits: 9999,
             oversize: false,
-        });
+        }]);
         let v = t.check_bandwidth(Model::Local);
         assert!(v.is_exempt() && !v.conforms());
         assert_eq!(v, Bandwidth::Exempt { sends: 1 });

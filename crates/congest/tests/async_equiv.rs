@@ -15,9 +15,9 @@
 use std::sync::Arc;
 
 use dam_congest::{
-    AdaptivePolicy, Backend, ChurnKind, ChurnPlan, Context, DelayModel, FaultPlan, LinkFault,
-    Network, Partition, Port, Protocol, RecordingSink, Resilient, SimConfig, SinkHandle, Squall,
-    Trace, TransportCfg,
+    AdaptivePolicy, Backend, ChurnKind, ChurnPlan, Context, DelayModel, ExecPlan, FaultPlan,
+    LinkFault, Network, Partition, Port, Protocol, RecordingSink, Resilient, RunOutcome, SimConfig,
+    SimError, SinkHandle, Squall, Trace, TransportCfg,
 };
 use dam_core::israeli_itai::IiNode;
 use dam_core::luby::LubyNode;
@@ -85,13 +85,11 @@ fn assert_equivalent<P, F>(
     P::Output: PartialEq + std::fmt::Debug,
     F: Fn(usize, &dyn Topology) -> P + Sync + Copy,
 {
-    let seq = {
-        let mut net = Network::new(g, config);
-        net.run_churned_traced(make, faults, churn)
-    };
+    let plan = ExecPlan::new(faults.clone(), churn.clone());
+    let seq = traced(&mut Network::new(g, config), make, &plan);
     for delay in DELAYS {
         let mut net = Network::new(g, config.backend(Backend::Async).delay(delay));
-        let asy: Result<(_, Trace), _> = net.run_async_churned_traced(make, faults, churn);
+        let asy = traced(&mut net, make, &plan);
         match (&seq, &asy) {
             (Ok((so, st)), Ok((ao, at))) => {
                 assert_eq!(so.outputs, ao.outputs, "outputs diverge under {delay:?}");
@@ -117,6 +115,20 @@ fn assert_equivalent<P, F>(
             ),
         }
     }
+}
+
+/// One run of `make` under `plan`, returned with its trace.
+fn traced<P, F>(
+    net: &mut Network<'_>,
+    make: F,
+    plan: &ExecPlan,
+) -> Result<(RunOutcome<P::Output>, Trace), SimError>
+where
+    P: Protocol + Send,
+    F: Fn(usize, &dyn Topology) -> P + Sync,
+{
+    let mut trace = Trace::new();
+    net.execute(make, plan, Some(&mut trace)).map(|out| (out, trace))
 }
 
 fn graph_for(seed: u64) -> Graph {
@@ -426,13 +438,13 @@ fn async_sink_observes_without_perturbing() {
         };
         let bare = {
             let mut net = Network::new(&g, cfg);
-            net.execute_plan_traced(make, &fault_plan(), &ChurnPlan::default())
+            traced(&mut net, make, &ExecPlan::from(fault_plan()))
         };
         let sink = Arc::new(RecordingSink::new());
         let tapped = {
             let mut net = Network::new(&g, cfg);
             net.set_stats_sink(Some(SinkHandle::from(Arc::clone(&sink))));
-            net.execute_plan_traced(make, &fault_plan(), &ChurnPlan::default())
+            traced(&mut net, make, &ExecPlan::from(fault_plan()))
         };
         match (&bare, &tapped) {
             (Ok((bo, bt)), Ok((to, tt))) => {
@@ -475,7 +487,7 @@ fn adaptive_transport_async_equivalence() {
     }
 }
 
-/// The backend dispatcher itself: `execute_plan_traced` with
+/// The backend dispatcher itself: `execute` with
 /// `Backend::Async` must route to the asynchronous engine (markers
 /// appear) and still agree with an explicit sequential call.
 #[test]
@@ -487,11 +499,11 @@ fn execute_plan_dispatches_to_async() {
     };
     let (so, st) = {
         let mut net = Network::new(&g, cfg);
-        net.run_churned_traced(make, &fault_plan(), &ChurnPlan::default()).unwrap()
+        traced(&mut net, make, &ExecPlan::from(fault_plan())).unwrap()
     };
     let mut net =
         Network::new(&g, cfg.backend(Backend::Async).delay(DelayModel::UniformRandom { max: 4 }));
-    let (ao, at) = net.execute_plan_traced(make, &fault_plan(), &ChurnPlan::default()).unwrap();
+    let (ao, at) = traced(&mut net, make, &ExecPlan::from(fault_plan())).unwrap();
     assert_eq!(so.outputs, ao.outputs);
     assert_eq!(st.events(), at.events());
     assert!(ao.stats.markers > 0, "dispatch must reach the async engine");

@@ -4,8 +4,8 @@
 //! the workspace relies on this.
 
 use dam_congest::{
-    ChurnKind, ChurnPlan, Context, FaultKind, FaultPlan, Network, Port, Protocol, Resilient,
-    RunStats, SimConfig, TraceEvent, TransportCfg,
+    ChurnKind, ChurnPlan, Context, ExecPlan, FaultKind, FaultPlan, Network, Port, Protocol,
+    Resilient, RunStats, SimConfig, Trace, TraceEvent, TransportCfg,
 };
 use dam_graph::generators;
 use rand::rngs::StdRng;
@@ -61,10 +61,12 @@ fn run_once(engine_seed: u64) -> (Vec<u64>, RunStats, Vec<TraceEvent>) {
     let mut rng = StdRng::seed_from_u64(99);
     let g = generators::gnp(24, 0.2, &mut rng);
     let mut net = Network::new(&g, SimConfig::local().seed(engine_seed));
-    let (out, trace) = net
-        .run_faulty_traced(
+    let mut trace = Trace::new();
+    let out = net
+        .execute(
             |_, _| Resilient::new(SumFlood { acc: 0, rounds: 6 }, TransportCfg::default()),
-            &hostile_plan(),
+            &ExecPlan::from(hostile_plan()),
+            Some(&mut trace),
         )
         .expect("faulty run");
     (out.outputs, out.stats, trace.events().to_vec())
@@ -104,11 +106,12 @@ fn run_churned_once(engine_seed: u64) -> (Vec<u64>, RunStats, Vec<TraceEvent>) {
     let mut rng = StdRng::seed_from_u64(99);
     let g = generators::gnp(24, 0.2, &mut rng);
     let mut net = Network::new(&g, SimConfig::local().seed(engine_seed));
-    let (out, trace) = net
-        .run_churned_traced(
+    let mut trace = Trace::new();
+    let out = net
+        .execute(
             |_, _| Resilient::new(SumFlood { acc: 0, rounds: 6 }, TransportCfg::default()),
-            &hostile_plan(),
-            &churn_plan(),
+            &ExecPlan::new(hostile_plan(), churn_plan()),
+            Some(&mut trace),
         )
         .expect("churned run");
     (out.outputs, out.stats, trace.events().to_vec())

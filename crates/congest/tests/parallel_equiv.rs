@@ -9,8 +9,9 @@
 use std::sync::Arc;
 
 use dam_congest::{
-    AdaptivePolicy, ChurnKind, ChurnPlan, Context, FaultPlan, LinkFault, Network, Partition, Port,
-    Protocol, RecordingSink, Resilient, SimConfig, SinkHandle, Squall, Trace, TransportCfg,
+    AdaptivePolicy, ChurnKind, ChurnPlan, Context, ExecPlan, FaultPlan, LinkFault, Network,
+    Partition, Port, Protocol, RecordingSink, Resilient, RunOutcome, SimConfig, SimError,
+    SinkHandle, Squall, Trace, TransportCfg,
 };
 use dam_core::israeli_itai::IiNode;
 use dam_core::luby::LubyNode;
@@ -68,14 +69,10 @@ fn assert_equivalent<P, F>(
     P::Output: PartialEq + std::fmt::Debug,
     F: Fn(usize, &dyn Topology) -> P + Sync + Copy,
 {
-    let seq = {
-        let mut net = Network::new(g, config);
-        net.run_churned_traced(make, faults, churn)
-    };
+    let plan = ExecPlan::new(faults.clone(), churn.clone());
+    let seq = traced(&mut Network::new(g, config), make, &plan);
     for threads in THREADS {
-        let mut net = Network::new(g, config);
-        let par: Result<(_, Trace), _> =
-            net.run_parallel_churned_traced(make, faults, churn, threads);
+        let par = traced(&mut Network::new(g, config.threads(threads)), make, &plan);
         match (&seq, &par) {
             (Ok((so, st)), Ok((po, pt))) => {
                 assert_eq!(so.outputs, po.outputs, "outputs diverge at {threads} threads");
@@ -96,6 +93,20 @@ fn assert_equivalent<P, F>(
             ),
         }
     }
+}
+
+/// One run of `make` under `plan`, returned with its trace.
+fn traced<P, F>(
+    net: &mut Network<'_>,
+    make: F,
+    plan: &ExecPlan,
+) -> Result<(RunOutcome<P::Output>, Trace), SimError>
+where
+    P: Protocol + Send,
+    F: Fn(usize, &dyn Topology) -> P + Sync,
+{
+    let mut trace = Trace::new();
+    net.execute(make, plan, Some(&mut trace)).map(|out| (out, trace))
 }
 
 fn graph_for(seed: u64) -> Graph {
@@ -378,22 +389,20 @@ fn sharded_sink_observes_without_perturbing() {
             let sink = Arc::new(RecordingSink::new());
             let mut net = Network::new(&g, cfg);
             net.set_stats_sink(Some(SinkHandle::from(Arc::clone(&sink))));
-            let out = net.run_churned_traced(make, &fault_plan(), &ChurnPlan::default());
+            let out = traced(&mut net, make, &ExecPlan::from(fault_plan()));
             (out, sink.samples())
         };
         if let Ok((so, _)) = &seq {
             assert_eq!(seq_samples.len() as u64, so.stats.rounds, "one sample per round");
         }
         for threads in THREADS {
-            let bare = {
-                let mut net = Network::new(&g, cfg);
-                net.run_parallel_churned_traced(make, &fault_plan(), &ChurnPlan::default(), threads)
-            };
+            let plan = ExecPlan::from(fault_plan());
+            let bare = traced(&mut Network::new(&g, cfg.threads(threads)), make, &plan);
             let sink = Arc::new(RecordingSink::new());
             let tapped = {
-                let mut net = Network::new(&g, cfg);
+                let mut net = Network::new(&g, cfg.threads(threads));
                 net.set_stats_sink(Some(SinkHandle::from(Arc::clone(&sink))));
-                net.run_parallel_churned_traced(make, &fault_plan(), &ChurnPlan::default(), threads)
+                traced(&mut net, make, &plan)
             };
             match (&bare, &tapped) {
                 (Ok((bo, bt)), Ok((to, tt))) => {

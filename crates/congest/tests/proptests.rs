@@ -4,8 +4,8 @@
 //! corruption chains.
 
 use dam_congest::{
-    AsyncNetwork, BitSize, Context, CorruptKind, DelayModel, FaultPlan, Frame, FrameKind, Network,
-    Port, Protocol, Resilient, SimConfig, SimError, TraceEvent, TransportCfg,
+    AsyncNetwork, BitSize, Context, CorruptKind, DelayModel, ExecPlan, FaultPlan, Frame, FrameKind,
+    Network, Port, Protocol, Resilient, SimConfig, SimError, Trace, TraceEvent, TransportCfg,
 };
 use dam_graph::{Graph, GraphBuilder, Topology};
 use proptest::prelude::*;
@@ -127,9 +127,9 @@ proptest! {
     #[test]
     fn parallel_equals_sequential(g in arb_graph(), seed in 0u64..1000, threads in 1usize..6) {
         let make = |_: usize, _: &dyn Topology| Chaos { min_rounds: 3, halt_prob: 0.4, acc: 0 };
-        let seq = Network::new(&g, SimConfig::local().seed(seed)).run(make).unwrap();
-        let par = Network::new(&g, SimConfig::local().seed(seed))
-            .run_parallel(make, threads)
+        let seq = Network::new(&g, SimConfig::local().seed(seed)).execute(make, &ExecPlan::default(), None).unwrap();
+        let par = Network::new(&g, SimConfig::local().seed(seed).threads(threads))
+            .execute(make, &ExecPlan::default(), None)
             .unwrap();
         prop_assert_eq!(&seq.outputs, &par.outputs);
         prop_assert_eq!(seq.stats, par.stats);
@@ -142,7 +142,8 @@ proptest! {
     fn accounting_invariants(g in arb_graph(), seed in 0u64..1000) {
         let make = |_: usize, _: &dyn Topology| Chaos { min_rounds: 2, halt_prob: 0.5, acc: 0 };
         let mut net = Network::new(&g, SimConfig::congest(16).seed(seed));
-        let (out, trace) = net.run_traced(make).unwrap();
+        let mut trace = Trace::new();
+        let out = net.execute(make, &ExecPlan::default(), Some(&mut trace)).unwrap();
         let s = out.stats;
         prop_assert!(s.rounds >= 1);
         prop_assert_eq!(s.charged_rounds, s.rounds, "unit cost charges 1:1");
@@ -171,8 +172,13 @@ proptest! {
     #[test]
     fn determinism_of_traces(g in arb_graph(), seed in 0u64..1000) {
         let make = |_: usize, _: &dyn Topology| Chaos { min_rounds: 2, halt_prob: 0.5, acc: 0 };
-        let (_, t1) = Network::new(&g, SimConfig::local().seed(seed)).run_traced(make).unwrap();
-        let (_, t2) = Network::new(&g, SimConfig::local().seed(seed)).run_traced(make).unwrap();
+        let run = || {
+            let mut trace = Trace::new();
+            let mut net = Network::new(&g, SimConfig::local().seed(seed));
+            net.execute(make, &ExecPlan::default(), Some(&mut trace)).unwrap();
+            trace
+        };
+        let (t1, t2) = (run(), run());
         prop_assert_eq!(t1.events(), t2.events());
     }
 
@@ -186,7 +192,7 @@ proptest! {
         max_delay in 1u64..30,
     ) {
         let make = |_: usize, _: &dyn Topology| Chaos { min_rounds: 3, halt_prob: 0.4, acc: 0 };
-        let sync = Network::new(&g, SimConfig::local().seed(seed)).run(make).unwrap();
+        let sync = Network::new(&g, SimConfig::local().seed(seed)).execute(make, &ExecPlan::default(), None).unwrap();
         for delays in [
             DelayModel::Unit,
             DelayModel::UniformRandom { max: max_delay },
@@ -282,11 +288,11 @@ proptest! {
             Resilient::new(Chaos { min_rounds: 2, halt_prob: 0.5, acc: 0 }, TransportCfg::default())
         };
         let cfg = SimConfig::local().seed(seed).max_rounds(20_000);
-        let base = Network::new(&g, cfg).run(make).unwrap();
+        let base = Network::new(&g, cfg).execute(make, &ExecPlan::default(), None).unwrap();
         let equivocators = if equivocate { vec![1 % g.node_count()] } else { vec![] };
         let plan =
             FaultPlan::lossy(loss).with_corrupt(corrupt).with_equivocators(equivocators.clone());
-        match Network::new(&g, cfg).run_faulty(make, &plan) {
+        match Network::new(&g, cfg).execute(make, &ExecPlan::from(plan.clone()), None) {
             Ok(out) => {
                 if corrupt == 0.0 && equivocators.is_empty() {
                     prop_assert_eq!(&out.outputs, &base.outputs, "loss alone must be masked");

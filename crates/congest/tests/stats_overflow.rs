@@ -5,7 +5,7 @@
 //! partials, on both engines.
 
 use dam_congest::{
-    Backend, BitSize, Context, Network, Port, Protocol, RunStats, SimConfig, TotalStats,
+    Backend, BitSize, Context, ExecPlan, Network, Port, Protocol, RunStats, SimConfig, TotalStats,
 };
 use dam_graph::generators;
 
@@ -86,7 +86,7 @@ fn expected(rounds: u64) -> (u64, u64) {
 fn hundred_thousand_round_run_accumulates_exactly() {
     let g = generators::path(2);
     let mut net = Network::new(&g, SimConfig::local().max_rounds(200_000));
-    let out = net.run(|_, _| Beacon { horizon: HORIZON }).unwrap();
+    let out = net.execute(|_, _| Beacon { horizon: HORIZON }, &ExecPlan::default(), None).unwrap();
     let s = out.stats;
     assert_eq!(s.rounds, HORIZON as u64 + 1, "round 0 through the halt round");
     let (messages, bits) = expected(s.rounds);
@@ -102,10 +102,10 @@ fn parallel_engine_accumulates_identically() {
     let g = generators::path(2);
     let seq = {
         let mut net = Network::new(&g, SimConfig::local().max_rounds(200_000));
-        net.run(|_, _| Beacon { horizon: HORIZON }).unwrap()
+        net.execute(|_, _| Beacon { horizon: HORIZON }, &ExecPlan::default(), None).unwrap()
     };
-    let mut net = Network::new(&g, SimConfig::local().max_rounds(200_000));
-    let par = net.run_parallel(|_, _| Beacon { horizon: HORIZON }, 2).unwrap();
+    let mut net = Network::new(&g, SimConfig::local().max_rounds(200_000).threads(2));
+    let par = net.execute(|_, _| Beacon { horizon: HORIZON }, &ExecPlan::default(), None).unwrap();
     assert_eq!(seq.stats, par.stats);
     assert_eq!(seq.outputs, par.outputs);
 }
@@ -119,10 +119,11 @@ fn async_marathon_counts_markers_exactly() {
     let g = generators::path(2);
     let seq = {
         let mut net = Network::new(&g, SimConfig::local().max_rounds(200_000));
-        net.run(|_, _| HalfBeacon { horizon: HORIZON }).unwrap()
+        net.execute(|_, _| HalfBeacon { horizon: HORIZON }, &ExecPlan::default(), None).unwrap()
     };
     let mut net = Network::new(&g, SimConfig::local().max_rounds(200_000).backend(Backend::Async));
-    let asy = net.execute(|_, _| HalfBeacon { horizon: HORIZON }).unwrap();
+    let asy =
+        net.execute(|_, _| HalfBeacon { horizon: HORIZON }, &ExecPlan::default(), None).unwrap();
     assert_eq!(asy.outputs, seq.outputs);
     // Odd rounds 1, 3, …, HORIZON−1 are silent, and so is the final
     // halt round: HORIZON/2 + 1 rounds, two nodes, one port each.
@@ -159,7 +160,7 @@ fn control_plane_counters_saturate_and_stay_out_of_frames() {
 fn totals_saturate_when_folding_marathon_partials() {
     let g = generators::path(2);
     let mut net = Network::new(&g, SimConfig::local().max_rounds(200_000));
-    let out = net.run(|_, _| Beacon { horizon: HORIZON }).unwrap();
+    let out = net.execute(|_, _| Beacon { horizon: HORIZON }, &ExecPlan::default(), None).unwrap();
 
     let mut totals = TotalStats::default();
     totals.record(&RunStats {

@@ -23,7 +23,7 @@
 //! maximizes weight over assignments that leave no `ε`-profitable bid
 //! unplayed.
 
-use dam_congest::{BitSize, Context, Network, Port, Protocol, SimConfig};
+use dam_congest::{BitSize, Context, ExecPlan, Network, Port, Protocol, SimConfig};
 use dam_graph::{EdgeId, Graph, GraphError, Side};
 use rand::RngExt;
 
@@ -292,8 +292,11 @@ pub fn auction_mwm(g: &Graph, config: &AuctionConfig) -> Result<AlgorithmReport,
             .max_rounds(deadline + 8)
             .quiesce_after(2),
     );
-    let out =
-        net.run(|v, graph| AuctionNode::new(sides[v], graph.degree(v), config.eps, deadline))?;
+    let out = net.execute(
+        |v, graph| AuctionNode::new(sides[v], graph.degree(v), config.eps, deadline),
+        &ExecPlan::default(),
+        None,
+    )?;
     let matching = matching_from_registers(g, &out.outputs)?;
     let iterations = usize::try_from(out.stats.rounds).unwrap_or(usize::MAX);
     Ok(AlgorithmReport { matching, stats: net.totals(), iterations })

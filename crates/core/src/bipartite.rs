@@ -33,7 +33,7 @@
 //! paper's Lemma 3.9 arithmetic.
 
 use dam_congest::message::id_bits;
-use dam_congest::{BitSize, Context, Network, Port, Protocol, SimConfig};
+use dam_congest::{BitSize, Context, ExecPlan, Network, Port, Protocol, SimConfig};
 use dam_graph::{EdgeId, Graph, GraphError, Matching, Side, Topology};
 use rand::RngExt;
 
@@ -422,12 +422,17 @@ pub(crate) fn exhaust_length(
     let params = PhaseParams { l, n: g.node_count(), delta: g.max_degree() };
     let mut passes = 0;
     while passes < max_passes {
-        let out = net.execute(|v, graph| {
-            let matched_edge = registers[v];
-            let matched_port = matched_edge
-                .map(|e| graph.port_of_edge(v, e).expect("register points at an incident edge"));
-            PhaseNode::new(params, sides[v], live[v].clone(), matched_port, matched_edge)
-        })?;
+        let out = net.execute(
+            |v, graph| {
+                let matched_edge = registers[v];
+                let matched_port = matched_edge.map(|e| {
+                    graph.port_of_edge(v, e).expect("register points at an incident edge")
+                });
+                PhaseNode::new(params, sides[v], live[v].clone(), matched_port, matched_edge)
+            },
+            &ExecPlan::default(),
+            None,
+        )?;
         passes += 1;
         let mut any_path = false;
         for (v, o) in out.outputs.iter().enumerate() {
@@ -826,11 +831,15 @@ mod tests {
                 let m_before = registers_to_matching(&g, &registers).unwrap();
                 let params = PhaseParams { l, n: g.node_count(), delta: g.max_degree() };
                 let out = net
-                    .run(|v, graph| {
-                        let me = registers[v];
-                        let mp = me.map(|e| graph.port_of_edge(v, e).unwrap());
-                        PhaseNode::new(params, sides[v], live[v].clone(), mp, me)
-                    })
+                    .execute(
+                        |v, graph| {
+                            let me = registers[v];
+                            let mp = me.map(|e| graph.port_of_edge(v, e).unwrap());
+                            PhaseNode::new(params, sides[v], live[v].clone(), mp, me)
+                        },
+                        &ExecPlan::default(),
+                        None,
+                    )
                     .unwrap();
                 let all_l = dam_graph::paths::enumerate_augmenting_paths(&g, &m_before, l);
                 for (v, o) in out.outputs.iter().enumerate() {

@@ -45,7 +45,9 @@
 //! domain — a lie corrupts the *report*, not the node — so repair
 //! re-matches them honestly.
 
-use dam_congest::{rng, BitSize, Context, FaultPlan, Network, Port, Protocol, RunStats, SimConfig};
+use dam_congest::{
+    rng, BitSize, Context, ExecPlan, FaultPlan, Network, Port, Protocol, RunStats, SimConfig,
+};
 use dam_graph::{BitSet, EdgeId, Graph, Matching, NodeId, Topology};
 
 use crate::error::CoreError;
@@ -239,7 +241,11 @@ pub fn certify_on(
     assert_eq!(registers.len(), n, "one register per node");
     assert_eq!(present.len(), n, "one presence flag per node");
     let mut net = Network::new(g, SimConfig::local().seed(seed));
-    let out = net.run(|v, graph| CheckerNode::new(v, graph, registers[v], present[v]))?;
+    let out = net.execute(
+        |v, graph| CheckerNode::new(v, graph, registers[v], present[v]),
+        &ExecPlan::default(),
+        None,
+    )?;
     let verdicts = out.outputs;
     let flagged: Vec<NodeId> =
         verdicts.iter().enumerate().filter_map(|(v, f)| f.map(|_| v)).collect();

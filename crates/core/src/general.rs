@@ -18,7 +18,7 @@
 //! implement with an `O(Diameter)` converge-cast — every experiment
 //! labels which policy produced its numbers).
 
-use dam_congest::{BitSize, Context, Network, Port, Protocol, SimConfig};
+use dam_congest::{BitSize, Context, ExecPlan, Network, Port, Protocol, SimConfig};
 use dam_graph::{EdgeId, Graph, Side};
 use rand::RngExt;
 
@@ -205,11 +205,15 @@ pub fn general_mcm(g: &Graph, config: &GeneralMcmConfig) -> Result<AlgorithmRepo
     while iterations < cap {
         iterations += 1;
         // Lines 3–4: colour and carve out Ĝ.
-        let colors = net.run(|v, graph| {
-            let matched_port = registers[v]
-                .map(|e| graph.port_of_edge(v, e).expect("register points at incident edge"));
-            ColorNode::new(graph.degree(v), matched_port)
-        })?;
+        let colors = net.execute(
+            |v, graph| {
+                let matched_port = registers[v]
+                    .map(|e| graph.port_of_edge(v, e).expect("register points at incident edge"));
+                ColorNode::new(graph.degree(v), matched_port)
+            },
+            &ExecPlan::default(),
+            None,
+        )?;
         let sides: Vec<PhaseSide> = colors.outputs.iter().map(|o| o.side).collect();
         let live: Vec<Vec<bool>> = colors.outputs.into_iter().map(|o| o.live).collect();
         // Line 5: Aug(Ĝ, M, 2k−1), shortest lengths first.
@@ -292,7 +296,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(71);
         let g = generators::gnp(30, 0.2, &mut rng);
         let mut net = Network::new(&g, SimConfig::local().seed(3));
-        let out = net.run(|v, graph| ColorNode::new(graph.degree(v), None)).unwrap();
+        let out = net
+            .execute(|v, graph| ColorNode::new(graph.degree(v), None), &ExecPlan::default(), None)
+            .unwrap();
         for v in g.nodes() {
             let o = &out.outputs[v];
             assert!(o.side.is_some(), "free nodes always join V̂");

@@ -23,7 +23,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-use dam_congest::{BitSize, Context, Network, Port, Protocol, SimConfig};
+use dam_congest::{BitSize, Context, ExecPlan, Network, Port, Protocol, SimConfig};
 use dam_graph::{EdgeId, Graph, NodeId, Topology};
 use rand::RngExt;
 
@@ -527,7 +527,11 @@ pub fn generic_mcm(g: &Graph, config: &GenericMcmConfig) -> Result<AlgorithmRepo
         let params = GenericParams { l, mis_iterations };
         let mut phase_passes = 0usize;
         loop {
-            let out = net.run(|v, graph| GenericNode::new(params, graph, v, registers[v]))?;
+            let out = net.execute(
+                |v, graph| GenericNode::new(params, graph, v, registers[v]),
+                &ExecPlan::default(),
+                None,
+            )?;
             passes += 1;
             phase_passes += 1;
             let mut any = false;

@@ -30,7 +30,7 @@
 
 use std::collections::BTreeSet;
 
-use dam_congest::{BitSize, Context, Network, Port, Protocol, SimConfig};
+use dam_congest::{BitSize, Context, ExecPlan, Network, Port, Protocol, SimConfig};
 use dam_graph::{EdgeId, Graph, NodeId, Topology};
 use rand::RngExt;
 
@@ -814,7 +814,11 @@ pub fn hv_mwm(g: &Graph, config: &HvMwmConfig) -> Result<AlgorithmReport, CoreEr
     let mut passes = 0usize;
     let cap = config.max_passes.unwrap_or(usize::MAX);
     while passes < cap {
-        let out = net.run(|v, graph| HvNode::new(params, graph, v, registers[v]))?;
+        let out = net.execute(
+            |v, graph| HvNode::new(params, graph, v, registers[v]),
+            &ExecPlan::default(),
+            None,
+        )?;
         passes += 1;
         let mut any = false;
         for (v, o) in out.outputs.iter().enumerate() {

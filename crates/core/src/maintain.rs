@@ -45,7 +45,7 @@
 
 use dam_congest::transport::TransportCfg;
 use dam_congest::{
-    rng, AsMaintenance, ChurnKind, ChurnPlan, FaultPlan, Network, RunStats, SimConfig,
+    rng, AsMaintenance, ChurnKind, ChurnPlan, ExecPlan, FaultPlan, Network, RunStats, SimConfig,
 };
 use dam_graph::{EdgeId, Graph, Matching, NodeId};
 
@@ -356,7 +356,11 @@ impl<'g> Maintainer<'g> {
         self.batches += 1;
         let mut net =
             Network::new(&sub, SimConfig::local().seed(batch_seed).max_rounds(self.max_rounds));
-        let out = net.run(|v, graph| AsMaintenance::new(IiNode::new(graph.degree(v))))?;
+        let out = net.execute(
+            |v, graph| AsMaintenance::new(IiNode::new(graph.degree(v))),
+            &ExecPlan::default(),
+            None,
+        )?;
         let mut added = 0usize;
         for v in 0..self.g.node_count() {
             if let Some(e) = out.outputs[v] {
@@ -645,7 +649,8 @@ mod tests {
         let cfg = MaintainConfig { seed: 9, ..MaintainConfig::default() };
         let report = churn_tolerant_mm(&g, &FaultPlan::default(), &churn, &cfg).unwrap();
         report.matching.validate(&g).unwrap();
-        let (mut np, ep) = churn.final_presence(&g);
+        let (nodes, edges) = churn.final_presence_on(&g);
+        let (mut np, ep) = (nodes.to_bools(), edges.to_bools());
         assert!(!np[4] && np[31]);
         np[4] = false;
         assert!(is_valid_on_present(&g, &report.matching, &np, &ep));

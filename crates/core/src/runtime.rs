@@ -20,7 +20,7 @@
 //!   │ maintain      │            ├──────────────────────────────────┤
 //!   │ repair_faults │            │ resilient transport (transport)  │
 //!   │ algo          │            ├──────────────────────────────────┤
-//!   └───────────────┘            │ Algorithm phases on execute_plan │
+//!   └───────────────┘            │ Algorithm phases on execute      │
 //!                                │ (faults + churn + threads in one │
 //!                                │  engine entry point)             │
 //!                                └──────────────────────────────────┘
@@ -80,8 +80,9 @@ use std::path::{Path, PathBuf};
 
 use dam_congest::transport::TransportCfg;
 use dam_congest::{
-    rng, AdaptivePolicy, Backend, ChurnPlan, Context, DelayModel, FaultPlan, Network, Port,
-    Protocol, Resilient, RunOutcome, RunStats, SessionState, SimConfig, SinkHandle, TotalStats,
+    rng, AdaptivePolicy, Backend, ChurnPlan, Context, DelayModel, ExecPlan, FaultPlan, Network,
+    Port, Protocol, Resilient, RunOutcome, RunStats, SessionState, SimConfig, SinkHandle,
+    TotalStats,
 };
 use dam_graph::{materialize, BitSet, EdgeId, Graph, Matching, NodeId, Topology};
 
@@ -315,56 +316,15 @@ impl<'g> Exec<'g> {
         let wrap = self.resume || !first;
         let faults = if first { self.first_faults.clone() } else { self.later_faults.clone() };
         let churn = if first && !self.resume { self.churn.clone() } else { ChurnPlan::default() };
+        let plan = ExecPlan::new(faults, churn);
         let alive = &self.alive;
-        let out = if !wrap {
-            if let Some(p) = self.adaptive {
-                self.net.execute_plan(
-                    |v, graph| Resilient::with_policy(make(v, graph), p),
-                    &faults,
-                    &churn,
-                )?
-            } else if let Some(t) = self.transport {
-                self.net.execute_plan(
-                    |v, graph| Resilient::new(make(v, graph), t),
-                    &faults,
-                    &churn,
-                )?
-            } else {
-                self.net.execute_plan(make, &faults, &churn)?
+        let out = match (wrap, resilient(self.adaptive, self.transport)) {
+            (false, None) => self.net.execute(make, &plan, None)?,
+            (false, Some(wire)) => self.net.execute(|v, g| wire(make(v, g)), &plan, None)?,
+            (true, None) => self.net.execute(|v, g| slot(alive[v], || make(v, g)), &plan, None)?,
+            (true, Some(wire)) => {
+                self.net.execute(|v, g| slot(alive[v], || wire(make(v, g))), &plan, None)?
             }
-        } else if let Some(p) = self.adaptive {
-            self.net.execute_plan(
-                |v, graph| {
-                    if !alive[v] {
-                        return Slot::Dead;
-                    }
-                    Slot::Live(Box::new(Resilient::with_policy(make(v, graph), p)))
-                },
-                &faults,
-                &churn,
-            )?
-        } else if let Some(t) = self.transport {
-            self.net.execute_plan(
-                |v, graph| {
-                    if !alive[v] {
-                        return Slot::Dead;
-                    }
-                    Slot::Live(Box::new(Resilient::new(make(v, graph), t)))
-                },
-                &faults,
-                &churn,
-            )?
-        } else {
-            self.net.execute_plan(
-                |v, graph| {
-                    if !alive[v] {
-                        return Slot::Dead;
-                    }
-                    Slot::Live(Box::new(make(v, graph)))
-                },
-                &faults,
-                &churn,
-            )?
         };
         match &mut self.stats {
             None => self.stats = Some(out.stats),
@@ -908,22 +868,35 @@ where
     cfg.validate()?;
     let mut net = Network::new(g, cfg.sim);
     net.set_stats_sink(cfg.stats_sink.clone());
-    let out = if let Some(p) = cfg.adaptive {
-        net.execute_plan(
-            move |v, graph| Resilient::with_policy(make(v, graph), p),
-            &cfg.faults,
-            &cfg.churn,
-        )?
-    } else if let Some(t) = cfg.transport {
-        net.execute_plan(
-            move |v, graph| Resilient::new(make(v, graph), t),
-            &cfg.faults,
-            &cfg.churn,
-        )?
-    } else {
-        net.execute_plan(make, &cfg.faults, &cfg.churn)?
+    let plan = ExecPlan::new(cfg.faults.clone(), cfg.churn.clone());
+    let out = match resilient(cfg.adaptive, cfg.transport) {
+        Some(wire) => net.execute(move |v, g| wire(make(v, g)), &plan, None)?,
+        None => net.execute(make, &plan, None)?,
     };
     Ok(out)
+}
+
+/// The transport a run asks for, as one constructor: the closed-loop
+/// controller when an adaptive policy is set, else the static timers of
+/// `transport`; `None` when the program runs bare.
+fn resilient<P: Protocol>(
+    adaptive: Option<AdaptivePolicy>,
+    transport: Option<TransportCfg>,
+) -> Option<impl Fn(P) -> Resilient<P> + Copy + Sync> {
+    (adaptive.is_some() || transport.is_some()).then_some(move |program| match adaptive {
+        Some(policy) => Resilient::with_policy(program, policy),
+        None => Resilient::new(program, transport.unwrap_or_default()),
+    })
+}
+
+/// `program()` for a trusted node, a tombstone for an untrusted one
+/// (`program` is not called).
+fn slot<P>(alive: bool, program: impl FnOnce() -> P) -> Slot<P> {
+    if alive {
+        Slot::Live(Box::new(program()))
+    } else {
+        Slot::Dead
+    }
 }
 
 /// Per-node protocol of a tombstone-wrapped phase: nodes outside the

@@ -23,7 +23,7 @@
 //! unlike everything else here its round count is *linear* in the
 //! diameter, which the tests exhibit on paths.
 
-use dam_congest::{BitSize, Context, Network, Port, Protocol, SimConfig};
+use dam_congest::{BitSize, Context, ExecPlan, Network, Port, Protocol, SimConfig};
 use dam_graph::{EdgeId, Graph};
 
 use crate::error::CoreError;
@@ -245,7 +245,11 @@ pub fn tree_mcm(g: &Graph, seed: u64) -> Result<AlgorithmReport, CoreError> {
     let n = g.node_count();
     let mut net = Network::new(g, SimConfig::congest_for(n, 4).seed(seed));
     let elect_rounds = n.max(1);
-    let out = net.run(|v, graph| TreeNode::new(graph.degree(v), elect_rounds))?;
+    let out = net.execute(
+        |v, graph| TreeNode::new(graph.degree(v), elect_rounds),
+        &ExecPlan::default(),
+        None,
+    )?;
     let matching = matching_from_registers(g, &out.outputs)?;
     Ok(AlgorithmReport { matching, stats: net.totals(), iterations: 1 })
 }

@@ -13,7 +13,7 @@
 //! [`dam_graph::bmatching::greedy_b_matching`] exactly — which is how
 //! the tests check it.
 
-use dam_congest::{BitSize, Context, Network, Port, Protocol, SimConfig};
+use dam_congest::{BitSize, Context, ExecPlan, Network, Port, Protocol, SimConfig};
 use dam_graph::bmatching::BMatching;
 use dam_graph::{EdgeId, Graph};
 
@@ -171,10 +171,14 @@ pub fn b_local_max(
 ) -> Result<BMatchingReport, CoreError> {
     assert_eq!(capacities.len(), g.node_count(), "one capacity per node");
     let mut net = Network::new(g, SimConfig::congest_for(g.node_count(), 4).seed(seed));
-    let out = net.run(|v, graph| {
-        let weights = graph.incident(v).map(|(_, _, e)| Some(graph.weight(e))).collect();
-        BLocalMaxNode::new(weights, capacities[v])
-    })?;
+    let out = net.execute(
+        |v, graph| {
+            let weights = graph.incident(v).map(|(_, _, e)| Some(graph.weight(e))).collect();
+            BLocalMaxNode::new(weights, capacities[v])
+        },
+        &ExecPlan::default(),
+        None,
+    )?;
     // Cross-validate: each chosen edge must be chosen by both endpoints.
     let mut bm = BMatching::new(g, capacities.to_vec());
     for (v, chosen) in out.outputs.iter().enumerate() {

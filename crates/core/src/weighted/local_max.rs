@@ -15,7 +15,7 @@
 //! state machine serves both the standalone `½`-MWM (true edge weights)
 //! and Algorithm 5's inner call (the gain weights `w_M`).
 
-use dam_congest::{BitSize, Context, Network, Port, Protocol, SimConfig};
+use dam_congest::{BitSize, Context, ExecPlan, Network, Port, Protocol, SimConfig};
 use dam_graph::{EdgeId, Graph};
 
 use crate::error::CoreError;
@@ -163,10 +163,14 @@ impl Protocol for LocalMaxNode {
 /// ```
 pub fn local_max_mwm(g: &Graph, seed: u64) -> Result<AlgorithmReport, CoreError> {
     let mut net = Network::new(g, SimConfig::congest_for(g.node_count(), 4).seed(seed));
-    let out = net.run(|v, graph| {
-        let weights = graph.incident(v).map(|(_, _, e)| Some(graph.weight(e))).collect();
-        LocalMaxNode::new(weights)
-    })?;
+    let out = net.execute(
+        |v, graph| {
+            let weights = graph.incident(v).map(|(_, _, e)| Some(graph.weight(e))).collect();
+            LocalMaxNode::new(weights)
+        },
+        &ExecPlan::default(),
+        None,
+    )?;
     let matching = matching_from_registers(g, &out.outputs)?;
     let iterations = usize::try_from(out.stats.rounds.div_ceil(2)).unwrap_or(usize::MAX);
     Ok(AlgorithmReport { matching, stats: net.totals(), iterations })
@@ -243,11 +247,17 @@ mod tests {
             .unwrap();
         let mut net = Network::new(&g, SimConfig::local().seed(1));
         let out = net
-            .run(|v, graph| {
-                let weights =
-                    graph.incident(v).map(|(_, _, e)| (e == 1).then(|| graph.weight(e))).collect();
-                LocalMaxNode::new(weights)
-            })
+            .execute(
+                |v, graph| {
+                    let weights = graph
+                        .incident(v)
+                        .map(|(_, _, e)| (e == 1).then(|| graph.weight(e)))
+                        .collect();
+                    LocalMaxNode::new(weights)
+                },
+                &ExecPlan::default(),
+                None,
+            )
             .unwrap();
         let m = matching_from_registers(&g, &out.outputs).unwrap();
         assert_eq!(m.to_edge_vec(), vec![1]);

@@ -9,7 +9,7 @@
 //! and this one is deliberately weaker than
 //! [`crate::weighted::local_max`]).
 
-use dam_congest::{BitSize, Context, Network, Port, Protocol, SimConfig};
+use dam_congest::{BitSize, Context, ExecPlan, Network, Port, Protocol, SimConfig};
 use dam_graph::{EdgeId, Graph};
 use rand::RngExt;
 
@@ -152,10 +152,14 @@ impl Protocol for ProposalNode {
 pub fn proposal_mwm(g: &Graph, seed: u64) -> Result<AlgorithmReport, CoreError> {
     let iterations = 3 * (usize::BITS - g.node_count().leading_zeros()) as usize;
     let mut net = Network::new(g, SimConfig::congest_for(g.node_count(), 4).seed(seed));
-    let out = net.run(|v, graph| {
-        let weights = graph.incident(v).map(|(_, _, e)| Some(graph.weight(e))).collect();
-        ProposalNode::new(weights, iterations.max(4))
-    })?;
+    let out = net.execute(
+        |v, graph| {
+            let weights = graph.incident(v).map(|(_, _, e)| Some(graph.weight(e))).collect();
+            ProposalNode::new(weights, iterations.max(4))
+        },
+        &ExecPlan::default(),
+        None,
+    )?;
     let matching = matching_from_registers(g, &out.outputs)?;
     Ok(AlgorithmReport { matching, stats: net.totals(), iterations })
 }

@@ -3,8 +3,8 @@
 //! `israeli_itai_with`, `luby_mis_with`) is now a thin shim over
 //! [`dam_core::runtime::run_mm`] / `execute_program`. This file keeps a
 //! **golden replica** of each pre-refactor pipeline body, written
-//! against the unchanged engine primitives (`run`, `run_faulty`,
-//! `run_churned`, `Resilient`, `sanitize_registers`, `certify`,
+//! against the unchanged engine primitives (`Network::execute`,
+//! `Resilient`, `sanitize_registers`, `certify`,
 //! `Maintainer::adopt`, …), and asserts the shims are bit-identical to
 //! it — outputs, per-phase `RunStats`, certificates, traces, and error
 //! paths — across seeds, fault/churn schedules, and thread counts.
@@ -14,8 +14,8 @@
 
 use dam_congest::rng::splitmix64;
 use dam_congest::{
-    Backend, ChurnKind, ChurnPlan, Context, DelayModel, FaultPlan, Frame, Network, Port, Protocol,
-    Resilient, RunStats, SimConfig, TransportCfg,
+    Backend, ChurnKind, ChurnPlan, Context, DelayModel, ExecPlan, FaultPlan, Frame, Network, Port,
+    Protocol, Resilient, RunStats, SimConfig, Trace, TransportCfg,
 };
 use dam_core::certify::{apply_lies, certified_mm, certify, Certificate, CertifiedReport};
 use dam_core::error::CoreError;
@@ -164,7 +164,7 @@ fn golden_repair(
 ) -> Result<GoldenRepair, CoreError> {
     let sane = sanitize_registers(g, registers, alive);
     let mut net = Network::new(g, SimConfig::local().seed(cfg.seed).max_rounds(cfg.max_rounds));
-    let out = net.run_faulty(
+    let out = net.execute(
         |v, graph| {
             if !alive[v] {
                 return GoldenRepairProto::Dead;
@@ -176,7 +176,8 @@ fn golden_repair(
                 cfg.transport,
             )))
         },
-        faults,
+        &ExecPlan::from(faults.clone()),
+        None,
     )?;
     let final_regs = sanitize_registers(g, &out.outputs, alive);
     let matching = matching_from_registers(g, &final_regs.registers)?;
@@ -204,8 +205,11 @@ fn golden_self_healing(
     }
 
     let mut net = Network::new(g, SimConfig::local().seed(cfg.seed).max_rounds(cfg.max_rounds));
-    let phase1 = net
-        .run_faulty(|v, graph| Resilient::new(IiNode::new(graph.degree(v)), cfg.transport), plan)?;
+    let phase1 = net.execute(
+        |v, graph| Resilient::new(IiNode::new(graph.degree(v)), cfg.transport),
+        &ExecPlan::from(plan.clone()),
+        None,
+    )?;
 
     let repair_faults = FaultPlan {
         loss: plan.loss,
@@ -245,8 +249,11 @@ fn golden_certified(
     }
 
     let mut net = Network::new(g, SimConfig::local().seed(cfg.seed).max_rounds(cfg.max_rounds));
-    let phase1 = net
-        .run_faulty(|v, graph| Resilient::new(IiNode::new(graph.degree(v)), cfg.transport), plan)?;
+    let phase1 = net.execute(
+        |v, graph| Resilient::new(IiNode::new(graph.degree(v)), cfg.transport),
+        &ExecPlan::from(plan.clone()),
+        None,
+    )?;
 
     let mut regs = phase1.outputs;
     apply_lies(&mut regs, &plan.liars, cfg.seed, g.edge_count());
@@ -318,12 +325,13 @@ fn golden_churn_tolerant(
     cfg: &MaintainConfig,
 ) -> Result<ChurnReport, CoreError> {
     let mut net = Network::new(g, SimConfig::local().seed(cfg.seed).max_rounds(cfg.max_rounds));
-    let out = net.run_churned(
+    let out = net.execute(
         |v, graph| Resilient::new(IiNode::new(graph.degree(v)), cfg.transport),
-        faults,
-        churn,
+        &ExecPlan::new(faults.clone(), churn.clone()),
+        None,
     )?;
-    let (mut node_present, edge_present) = churn.final_presence(g);
+    let (nodes, edges) = churn.final_presence_on(g);
+    let (mut node_present, edge_present) = (nodes.to_bools(), edges.to_bools());
     for &(v, _) in &faults.crashes {
         if !faults.recoveries.iter().any(|&(u, _)| u == v) {
             node_present[v] = false;
@@ -515,15 +523,12 @@ fn plain_driver_shims_are_bit_identical() {
         for threads in THREADS {
             let config = SimConfig::local().seed(i).threads(threads);
 
-            // Golden israeli_itai_with: the legacy body dispatched on
-            // `threads` itself, directly over the engine primitives.
+            // Golden israeli_itai_with, directly over the engine entry
+            // point (which dispatches on `threads`).
             let mut net = Network::new(&g, config);
-            let out = if threads > 1 {
-                net.run_parallel(|v, graph| IiNode::new(graph.degree(v)), threads)
-            } else {
-                net.run(|v, graph| IiNode::new(graph.degree(v)))
-            }
-            .expect("golden run");
+            let out = net
+                .execute(|v, graph| IiNode::new(graph.degree(v)), &ExecPlan::default(), None)
+                .expect("golden run");
             let matching = matching_from_registers(&g, &out.outputs).expect("golden assembly");
             let iterations = usize::try_from(out.stats.rounds.div_ceil(3)).unwrap_or(usize::MAX);
             let totals = net.totals();
@@ -539,12 +544,9 @@ fn plain_driver_shims_are_bit_identical() {
 
             // Golden luby_mis_with.
             let mut net = Network::new(&g, config);
-            let out = if threads > 1 {
-                net.run_parallel(|v, graph| LubyNode::new(graph.degree(v)), threads)
-            } else {
-                net.run(|v, graph| LubyNode::new(graph.degree(v)))
-            }
-            .expect("golden run");
+            let out = net
+                .execute(|v, graph| LubyNode::new(graph.degree(v)), &ExecPlan::default(), None)
+                .expect("golden run");
             let mis = luby_mis_with(&g, config).expect("shim run");
             assert_eq!(out.outputs, mis.in_mis, "seed {i}, {threads} threads: MIS");
             assert_eq!(out.stats, mis.stats, "seed {i}, {threads} threads: stats");
@@ -564,13 +566,17 @@ fn runtime_traces_match_the_sequential_engine() {
             Resilient::new(IiNode::new(graph.degree(v)), TransportCfg::default())
         };
 
-        let mut reference = Network::new(&g, SimConfig::local().seed(i));
-        let (ref_out, ref_trace) =
-            reference.run_churned_traced(make, &faults, &churn).expect("reference run");
+        let plan = ExecPlan::new(faults.clone(), churn.clone());
+        let traced = |config| {
+            let mut trace = Trace::new();
+            let out = Network::new(&g, config).execute(make, &plan, Some(&mut trace));
+            out.map(|out| (out, trace))
+        };
+        let (ref_out, ref_trace) = traced(SimConfig::local().seed(i)).expect("reference run");
 
         for threads in THREADS {
-            let mut net = Network::new(&g, SimConfig::local().seed(i).threads(threads));
-            let (out, trace) = net.execute_plan_traced(make, &faults, &churn).expect("runtime run");
+            let (out, trace) =
+                traced(SimConfig::local().seed(i).threads(threads)).expect("runtime run");
             assert_eq!(out.outputs, ref_out.outputs, "seed {i}, {threads} threads: outputs");
             assert_eq!(out.stats, ref_out.stats, "seed {i}, {threads} threads: stats");
             assert_eq!(trace.events(), ref_trace.events(), "seed {i}, {threads} threads: trace");
@@ -598,14 +604,17 @@ fn runtime_matches_the_async_engine() {
             Resilient::new(IiNode::new(graph.degree(v)), TransportCfg::default())
         };
 
-        let mut reference = Network::new(&g, SimConfig::local().seed(i));
-        let (ref_out, ref_trace) =
-            reference.run_churned_traced(make, &faults, &churn).expect("reference run");
+        let plan = ExecPlan::new(faults.clone(), churn.clone());
+        let traced = |config| {
+            let mut trace = Trace::new();
+            let out = Network::new(&g, config).execute(make, &plan, Some(&mut trace));
+            out.map(|out| (out, trace))
+        };
+        let (ref_out, ref_trace) = traced(SimConfig::local().seed(i)).expect("reference run");
 
         for delay in DELAYS {
             let config = SimConfig::local().seed(i).backend(Backend::Async).delay(delay);
-            let mut net = Network::new(&g, config);
-            let (out, trace) = net.execute_plan_traced(make, &faults, &churn).expect("runtime run");
+            let (out, trace) = traced(config).expect("runtime run");
             assert_eq!(out.outputs, ref_out.outputs, "seed {i}, {delay:?}: outputs");
             let mut stats = out.stats;
             assert!(stats.markers > 0, "seed {i}, {delay:?}: markers must be accounted");
@@ -663,7 +672,8 @@ fn error_paths_are_bit_identical() {
     let legacy_plain = {
         let mut net = Network::new(&g, SimConfig::local().seed(3).max_rounds(1));
         CoreError::from(
-            net.run(|v, graph| IiNode::new(graph.degree(v))).expect_err("guard must trip"),
+            net.execute(|v, graph| IiNode::new(graph.degree(v)), &ExecPlan::default(), None)
+                .expect_err("guard must trip"),
         )
     };
     let shim_plain = israeli_itai_with(&g, SimConfig::local().seed(3).max_rounds(1))

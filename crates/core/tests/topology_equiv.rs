@@ -18,7 +18,8 @@
 //! [`RunStats`]: dam_congest::RunStats
 
 use dam_congest::{
-    Backend, ChurnKind, ChurnPlan, FaultPlan, Network, Resilient, SimConfig, TransportCfg,
+    Backend, ChurnKind, ChurnPlan, ExecPlan, FaultPlan, Network, Resilient, SimConfig, Trace,
+    TransportCfg,
 };
 use dam_core::israeli_itai::IiNode;
 use dam_core::runtime::{run_mm, IsraeliItai, RunReport, RuntimeConfig};
@@ -166,11 +167,13 @@ proptest! {
         let make = |v: NodeId, graph: &dyn Topology| {
             Resilient::new(IiNode::new(graph.degree(v)), TransportCfg::default())
         };
-        let (imp_out, imp_trace) = Network::new(&topo, SimConfig::local().seed(seed))
-            .execute_plan_traced(make, &faults, &churn)
+        let plan = ExecPlan::new(faults, churn);
+        let (mut imp_trace, mut csr_trace) = (Trace::new(), Trace::new());
+        let imp_out = Network::new(&topo, SimConfig::local().seed(seed))
+            .execute(make, &plan, Some(&mut imp_trace))
             .expect("implicit run");
-        let (csr_out, csr_trace) = Network::new(&g, SimConfig::local().seed(seed))
-            .execute_plan_traced(make, &faults, &churn)
+        let csr_out = Network::new(&g, SimConfig::local().seed(seed))
+            .execute(make, &plan, Some(&mut csr_trace))
             .expect("csr run");
         prop_assert_eq!(imp_out.outputs, csr_out.outputs, "outputs");
         prop_assert_eq!(imp_out.stats, csr_out.stats, "stats");

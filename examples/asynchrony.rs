@@ -9,6 +9,7 @@
 use dam::congest::{AsyncNetwork, DelayModel, Network, SimConfig};
 use dam::core::israeli_itai::IiNode;
 use dam::graph::generators;
+use dam_congest::ExecPlan;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -20,8 +21,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Israeli-Itai on G(100, 0.06), seed {seed}\n");
 
     // Synchronous reference.
-    let sync = Network::new(&g, SimConfig::local().seed(seed))
-        .run(|v, graph| IiNode::new(graph.degree(v)))?;
+    let sync = Network::new(&g, SimConfig::local().seed(seed)).execute(
+        |v, graph| IiNode::new(graph.degree(v)),
+        &ExecPlan::default(),
+        None,
+    )?;
     let matched = sync.outputs.iter().flatten().count() / 2;
     println!(
         "synchronous        : {matched} pairs, {} rounds, {} messages",

@@ -11,11 +11,17 @@
 use dam::congest::{Network, SimConfig, TraceEvent};
 use dam::core::israeli_itai::IiNode;
 use dam::graph::generators;
+use dam_congest::{ExecPlan, Trace};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let g = generators::cycle(10);
     let mut net = Network::new(&g, SimConfig::congest_for(g.node_count(), 4).seed(11));
-    let (out, trace) = net.run_traced(|v, graph| IiNode::new(graph.degree(v)))?;
+    let mut trace = Trace::new();
+    let out = net.execute(
+        |v, graph| IiNode::new(graph.degree(v)),
+        &ExecPlan::default(),
+        Some(&mut trace),
+    )?;
 
     println!("Israeli-Itai on C_10, seed 11");
     println!("{}", out.stats);

@@ -5,6 +5,7 @@ use dam::core::israeli_itai::IiNode;
 use dam::core::weighted::local_max::local_max_mwm;
 use dam::graph::weights::{randomize_weights, WeightDist};
 use dam::graph::{blossom, brute, generators, hopcroft_karp, hungarian, maximal, mwm};
+use dam_congest::ExecPlan;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -52,10 +53,12 @@ fn parallel_engine_matches_sequential_on_israeli_itai() {
     for trial in 0..5u64 {
         let g = generators::gnp(60, 0.08, &mut rng);
         let cfg = SimConfig::congest_for(g.node_count(), 4).seed(trial);
-        let seq = Network::new(&g, cfg).run(|v, graph| IiNode::new(graph.degree(v))).unwrap();
+        let seq = Network::new(&g, cfg)
+            .execute(|v, graph| IiNode::new(graph.degree(v)), &ExecPlan::default(), None)
+            .unwrap();
         for threads in [2usize, 5] {
-            let par = Network::new(&g, cfg)
-                .run_parallel(|v, graph| IiNode::new(graph.degree(v)), threads)
+            let par = Network::new(&g, cfg.threads(threads))
+                .execute(|v, graph| IiNode::new(graph.degree(v)), &ExecPlan::default(), None)
                 .unwrap();
             assert_eq!(seq.outputs, par.outputs, "trial {trial}, {threads} threads");
             assert_eq!(seq.stats, par.stats, "trial {trial}, {threads} threads");
@@ -113,7 +116,9 @@ fn israeli_itai_is_asynchrony_proof() {
     for trial in 0..5u64 {
         let g = generators::gnp(30, 0.15, &mut rng);
         let cfg = SimConfig::local().seed(trial);
-        let sync = Network::new(&g, cfg).run(|v, graph| IiNode::new(graph.degree(v))).unwrap();
+        let sync = Network::new(&g, cfg)
+            .execute(|v, graph| IiNode::new(graph.degree(v)), &ExecPlan::default(), None)
+            .unwrap();
         for delays in [DelayModel::UniformRandom { max: 25 }, DelayModel::LinkSkew { spread: 11 }] {
             let (outputs, stats) = AsyncNetwork::new(&g, trial)
                 .run_async(|v, graph| IiNode::new(graph.degree(v)), delays)

@@ -12,6 +12,7 @@ use dam::congest::{Context, FaultPlan, Network, Port, Protocol, SimConfig};
 use dam::core::israeli_itai::IiNode;
 use dam::core::report::matching_from_registers;
 use dam::graph::generators;
+use dam_congest::ExecPlan;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -47,10 +48,16 @@ impl Protocol for FixedGossip {
 fn fixed_schedule_survives_crashes() {
     let g = generators::cycle(10);
     let mut net = Network::new(&g, SimConfig::local().seed(1));
-    let clean = net.run(|_, _| FixedGossip { rounds: 8, heard: 0 }).unwrap();
+    let clean = net
+        .execute(|_, _| FixedGossip { rounds: 8, heard: 0 }, &ExecPlan::default(), None)
+        .unwrap();
     let mut net = Network::new(&g, SimConfig::local().seed(1));
     let faulty = net
-        .run_faulty(|_, _| FixedGossip { rounds: 8, heard: 0 }, &FaultPlan::crashes(vec![(3, 4)]))
+        .execute(
+            |_, _| FixedGossip { rounds: 8, heard: 0 },
+            &ExecPlan::from(FaultPlan::crashes(vec![(3, 4)])),
+            None,
+        )
         .unwrap();
     // Node 3's neighbours (2 and 4) hear strictly less than in the clean
     // run; distant nodes are unaffected.
@@ -68,8 +75,11 @@ fn israeli_itai_stalls_on_crashed_free_neighbour() {
     // "live" free neighbour and never halts.
     let g = generators::star(6);
     let mut net = Network::new(&g, SimConfig::congest_for(6, 4).seed(2).max_rounds(2_000));
-    let result =
-        net.run_faulty(|v, graph| IiNode::new(graph.degree(v)), &FaultPlan::crashes(vec![(0, 1)]));
+    let result = net.execute(
+        |v, graph| IiNode::new(graph.degree(v)),
+        &ExecPlan::from(FaultPlan::crashes(vec![(0, 1)])),
+        None,
+    );
     assert!(result.is_err(), "leaves must spin waiting for the crashed centre");
 }
 
@@ -85,7 +95,11 @@ fn late_crashes_leave_consistent_survivors() {
         // Crash two nodes late, after the matching has mostly settled.
         let plan = FaultPlan::crashes(vec![(1, 40), (7, 45)]);
         let mut net = Network::new(&g, SimConfig::congest_for(20, 4).seed(trial).max_rounds(2_000));
-        let Ok(out) = net.run_faulty(|v, graph| IiNode::new(graph.degree(v)), &plan) else {
+        let Ok(out) = net.execute(
+            |v, graph| IiNode::new(graph.degree(v)),
+            &ExecPlan::from(plan.clone()),
+            None,
+        ) else {
             continue; // this seed stalled: covered by the test above
         };
         // All survivors' registers must still cross-validate.
@@ -107,9 +121,11 @@ fn message_loss_breaks_handshakes_detectably() {
     for trial in 0..30u64 {
         let g = generators::gnp(24, 0.2, &mut rng);
         let mut net = Network::new(&g, SimConfig::congest_for(24, 4).seed(trial).max_rounds(3_000));
-        let Ok(out) =
-            net.run_faulty(|v, graph| IiNode::new(graph.degree(v)), &FaultPlan::lossy(0.15))
-        else {
+        let Ok(out) = net.execute(
+            |v, graph| IiNode::new(graph.degree(v)),
+            &ExecPlan::from(FaultPlan::lossy(0.15)),
+            None,
+        ) else {
             continue; // stalled runs are the other failure mode
         };
         total += 1;
@@ -121,15 +137,15 @@ fn message_loss_breaks_handshakes_detectably() {
     assert!(inconsistent > 0, "15% loss over {total} runs should break at least one handshake");
 }
 
-/// Loss-free fault plans are a no-op: run_faulty(default) == run.
+/// Loss-free fault plans are a no-op: a default plan is a clean run.
 #[test]
 fn empty_fault_plan_is_identity() {
     let g = generators::cycle(12);
     let a = Network::new(&g, SimConfig::local().seed(9))
-        .run(|v, graph| IiNode::new(graph.degree(v)))
+        .execute(|v, graph| IiNode::new(graph.degree(v)), &ExecPlan::default(), None)
         .unwrap();
     let b = Network::new(&g, SimConfig::local().seed(9))
-        .run_faulty(|v, graph| IiNode::new(graph.degree(v)), &FaultPlan::default())
+        .execute(|v, graph| IiNode::new(graph.degree(v)), &ExecPlan::default(), None)
         .unwrap();
     assert_eq!(a.outputs, b.outputs);
     assert_eq!(a.stats, b.stats);

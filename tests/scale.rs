@@ -8,6 +8,7 @@ use dam::core::trees::tree_mcm;
 use dam::core::weighted::local_max::local_max_mwm;
 use dam::graph::weights::{randomize_weights, WeightDist};
 use dam::graph::{generators, hopcroft_karp};
+use dam_congest::ExecPlan;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -66,9 +67,12 @@ fn parallel_engine_agrees_at_scale() {
     let mut rng = StdRng::seed_from_u64(204);
     let g = generators::random_regular(20_000, 4, &mut rng);
     let cfg = SimConfig::congest_for(g.node_count(), 4).seed(5);
-    let seq = Network::new(&g, cfg).run(|v, graph| IiNode::new(graph.degree(v))).unwrap();
-    let par =
-        Network::new(&g, cfg).run_parallel(|v, graph| IiNode::new(graph.degree(v)), 8).unwrap();
+    let seq = Network::new(&g, cfg)
+        .execute(|v, graph| IiNode::new(graph.degree(v)), &ExecPlan::default(), None)
+        .unwrap();
+    let par = Network::new(&g, cfg.threads(8))
+        .execute(|v, graph| IiNode::new(graph.degree(v)), &ExecPlan::default(), None)
+        .unwrap();
     assert_eq!(seq.outputs, par.outputs);
     assert_eq!(seq.stats, par.stats);
 }
