@@ -630,7 +630,7 @@ pub(crate) struct RunPlan {
 }
 
 /// The fate of one message under [`RunPlan::message_fate`].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct MsgFate {
     /// Dropped by the lossy channel (nothing else applies).
     pub(crate) lost: bool,
@@ -640,6 +640,20 @@ pub(crate) struct MsgFate {
     pub(crate) delayed: Option<usize>,
     /// The message is damaged in transit with this corruption shape.
     pub(crate) corrupt: Option<CorruptKind>,
+}
+
+/// A node's scheduled transition at the start of one round, as
+/// [`RunPlan::node_event`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum NodeEvent {
+    /// Churn: the node leaves the topology permanently.
+    Leave,
+    /// Churn: an absent node joins with fresh state.
+    Join,
+    /// Fault: the node crash-stops.
+    Crash,
+    /// Fault: a crashed node reboots with wiped state.
+    Recover,
 }
 
 impl RunPlan {
@@ -800,6 +814,27 @@ impl RunPlan {
             }
         }
         present
+    }
+
+    /// The transition node `v` undergoes at the start of `round`, if any.
+    ///
+    /// A node has at most one of each kind, and validation keeps crashed
+    /// nodes apart from churned ones and a recovery strictly after its
+    /// crash, so the only possible tie is a join and a leave in the same
+    /// round; the leave wins.
+    pub(crate) fn node_event(&self, v: NodeId, round: usize) -> Option<NodeEvent> {
+        let at = Some(round);
+        if self.leave_round[v] == at {
+            Some(NodeEvent::Leave)
+        } else if self.join_round[v] == at {
+            Some(NodeEvent::Join)
+        } else if self.crash_round[v] == at {
+            Some(NodeEvent::Crash)
+        } else if self.recovery_round[v] == at {
+            Some(NodeEvent::Recover)
+        } else {
+            None
+        }
     }
 }
 
@@ -1281,37 +1316,45 @@ impl<'g> Network<'g> {
                 net.pending = rest;
             }
             for v in 0..n {
-                if plan.leave_round[v] == Some(round) {
-                    // Permanent leave: silent, like a crash that never
-                    // recovers — but also absent from the topology, so
-                    // no message can reach its ports again.
-                    net.node_present.set(v, false);
-                    net.halted.set(v, true);
-                    inbox[v].clear();
-                    tally.stats.churn_events = tally.stats.churn_events.saturating_add(1);
-                    tally.record(TraceEvent::Churn { round, kind: ChurnKind::Leave { node: v } });
-                    continue;
-                }
                 // A join or a recovery boots a fresh instance; `boot` is
                 // the salt of its randomness stream.
-                let boot = if plan.join_round[v] == Some(round) {
-                    // Join: fresh ports, empty registers, a randomness
-                    // stream distinct from both boots and reboots.
-                    net.node_present.set(v, true);
-                    tally.stats.churn_events = tally.stats.churn_events.saturating_add(1);
-                    tally.record(TraceEvent::Churn { round, kind: ChurnKind::Join { node: v } });
-                    Some(0x1099)
-                } else {
-                    if plan.crash_round[v] == Some(round) && !net.halted[v] {
-                        net.halted.set(v, true); // crash-stop: silent, mid-protocol
-                        tally.record(TraceEvent::Fault {
+                let boot = match plan.node_event(v, round) {
+                    Some(NodeEvent::Leave) => {
+                        // Permanent leave: silent, like a crash that never
+                        // recovers — but also absent from the topology, so
+                        // no message can reach its ports again.
+                        net.node_present.set(v, false);
+                        net.halted.set(v, true);
+                        inbox[v].clear();
+                        tally.stats.churn_events = tally.stats.churn_events.saturating_add(1);
+                        tally.record(TraceEvent::Churn {
                             round,
-                            kind: FaultKind::Crash,
-                            node: v,
-                            peer: None,
+                            kind: ChurnKind::Leave { node: v },
                         });
+                        continue;
                     }
-                    if plan.recovery_round[v] == Some(round) {
+                    Some(NodeEvent::Join) => {
+                        // Join: fresh ports, empty registers, a randomness
+                        // stream distinct from both boots and reboots.
+                        net.node_present.set(v, true);
+                        tally.stats.churn_events = tally.stats.churn_events.saturating_add(1);
+                        tally
+                            .record(TraceEvent::Churn { round, kind: ChurnKind::Join { node: v } });
+                        Some(0x1099)
+                    }
+                    Some(NodeEvent::Crash) => {
+                        if !net.halted[v] {
+                            net.halted.set(v, true); // crash-stop: silent, mid-protocol
+                            tally.record(TraceEvent::Fault {
+                                round,
+                                kind: FaultKind::Crash,
+                                node: v,
+                                peer: None,
+                            });
+                        }
+                        None
+                    }
+                    Some(NodeEvent::Recover) => {
                         // Crash-recover: reboot with wiped state and a
                         // fresh randomness stream, then run on_start as a
                         // cold boot.
@@ -1322,9 +1365,8 @@ impl<'g> Network<'g> {
                             peer: None,
                         });
                         Some(0xB007)
-                    } else {
-                        None
                     }
+                    None => None,
                 };
                 if let Some(salt) = boot {
                     protos[v] = make(v, self.graph);
@@ -2197,6 +2239,209 @@ pub(crate) mod tests {
                 let (u, q) = net.peer(v, p);
                 assert_eq!(net.peer(u, q), (v, p), "peer mapping broken at ({v},{p})");
                 assert_eq!(g.port(v, p).1, g.port(u, q).1, "ports disagree on edge");
+            }
+        }
+    }
+
+    /// A random valid plan pair on `g`. Every plan mixes base
+    /// probabilities, a link listed twice (the second time reversed, so
+    /// the last entry must win in both directions), a link that zeroes
+    /// the base dup/reorder, squalls, a partition, crashes with and
+    /// without recovery, and joins and leaves (sometimes in one round).
+    fn random_plans(g: &dam_graph::Graph, rng: &mut rand::rngs::StdRng) -> (FaultPlan, ChurnPlan) {
+        use rand::seq::SliceRandom;
+        use rand::RngExt;
+        let n = g.node_count();
+        let m = g.edge_count();
+        let mut prob = |p: f64| {
+            if rng.random_bool(p) {
+                f64::from(rng.random_range(1..5u32)) / 10.0
+            } else {
+                0.0
+            }
+        };
+        let mut faults = FaultPlan::lossy(prob(0.5))
+            .with_dup(prob(0.6))
+            .with_reorder(prob(0.6))
+            .with_corrupt(prob(0.5));
+        let link = |rng: &mut rand::rngs::StdRng, e: usize, zero: bool| {
+            let (a, b) = g.endpoints(e);
+            let p = |rng: &mut rand::rngs::StdRng| f64::from(rng.random_range(0..4u32)) / 4.0;
+            let (loss, dup, reorder) =
+                if zero { (p(rng), 0.0, 0.0) } else { (p(rng), p(rng), p(rng)) };
+            LinkFault { a, b, loss, dup, reorder }
+        };
+        let twice = rng.random_range(0..m);
+        faults.links.push(link(rng, twice, false));
+        for _ in 0..rng.random_range(0..4) {
+            let e = rng.random_range(0..m);
+            faults.links.push(link(rng, e, false));
+        }
+        let again = link(rng, twice, false);
+        faults.links.push(LinkFault { a: again.b, b: again.a, ..again });
+        let zeroed = rng.random_range(0..m);
+        faults.links.push(link(rng, zeroed, true));
+        for _ in 0..rng.random_range(1..3) {
+            let from = rng.random_range(0..12);
+            faults.squalls.push(Squall {
+                from_round: from,
+                until_round: from + rng.random_range(0..6),
+                loss: f64::from(rng.random_range(0..5u32)) / 4.0,
+                corrupt: f64::from(rng.random_range(0..3u32)) / 4.0,
+            });
+        }
+        let from = rng.random_range(0..10);
+        let side: Vec<NodeId> = (0..n).filter(|_| rng.random_bool(0.4)).collect();
+        faults.partitions.push(Partition { from_round: from, until_round: from + 4, side });
+        let mut nodes: Vec<NodeId> = (0..n).collect();
+        nodes.shuffle(rng);
+        let (crashed, rest) = nodes.split_at(3);
+        for (i, &v) in crashed.iter().enumerate() {
+            let r = rng.random_range(1..10);
+            faults.crashes.push((v, r));
+            if i > 0 {
+                faults.recoveries.push((v, r + rng.random_range(1..8)));
+            }
+        }
+        faults.equivocators = vec![rest[5]];
+        let join = rng.random_range(1..12);
+        let join_leave = rng.random_range(1..12);
+        let churn = ChurnPlan::default()
+            .with_absent_nodes(vec![rest[0], rest[1], rest[2]])
+            .with_event(join, ChurnKind::Join { node: rest[0] })
+            .with_event(join_leave, ChurnKind::Join { node: rest[1] })
+            .with_event(join_leave + rng.random_range(0..3), ChurnKind::Leave { node: rest[1] })
+            .with_event(rng.random_range(1..12), ChurnKind::Leave { node: rest[3] })
+            .with_event(join, ChurnKind::Leave { node: rest[4] });
+        (faults, churn)
+    }
+
+    #[test]
+    fn run_plan_matches_a_dense_reference() {
+        use rand::RngExt;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x0AC1E);
+        for trial in 0..40 {
+            let g = generators::gnp(rng.random_range(10..18), 0.35, &mut rng);
+            if g.edge_count() == 0 {
+                continue;
+            }
+            let (faults, churn) = random_plans(&g, &mut rng);
+            let plan = RunPlan::build(&g, &faults, &churn).expect("random plans are valid");
+            let n = g.node_count();
+            let rounds = 26;
+
+            // Per-port probabilities, written densely in plan order.
+            let base = (faults.loss, faults.dup, faults.reorder, faults.corrupt);
+            let mut fx: Vec<Vec<(f64, f64, f64, f64)>> =
+                (0..n).map(|v| vec![base; g.degree(v)]).collect();
+            for l in &faults.links {
+                for (v, u) in [(l.a, l.b), (l.b, l.a)] {
+                    for (p, w, _) in g.incident(v) {
+                        if w == u {
+                            fx[v][p] = (l.loss, l.dup, l.reorder, faults.corrupt);
+                        }
+                    }
+                }
+            }
+            let (seed, run) = (trial, 3 * trial + 1);
+            for round in 0..rounds {
+                for v in 0..n {
+                    for (port, u, _) in g.incident(v) {
+                        let (mut loss, dup, reorder, mut corrupt) = fx[v][port];
+                        for s in faults
+                            .squalls
+                            .iter()
+                            .filter(|s| (s.from_round..=s.until_round).contains(&round))
+                        {
+                            loss = loss.max(s.loss);
+                            corrupt = corrupt.max(s.corrupt);
+                        }
+                        let mut want = MsgFate::default();
+                        if loss > 0.0 || dup > 0.0 || reorder > 0.0 || corrupt > 0.0 {
+                            let mut r = rng::fault_rng(seed, run, round, v, port);
+                            if loss > 0.0 && r.random_bool(loss) {
+                                want.lost = true;
+                            } else {
+                                want.duplicated = dup > 0.0 && r.random_bool(dup);
+                                if reorder > 0.0 && r.random_bool(reorder) {
+                                    want.delayed = Some(1 + r.random_range(0..3usize));
+                                }
+                                if corrupt > 0.0 && r.random_bool(corrupt) {
+                                    want.corrupt = Some(CorruptKind::draw(&mut r));
+                                }
+                            }
+                        }
+                        let got = plan.message_fate(seed, run, round, v, port);
+                        assert_eq!(got, want, "trial {trial}: fate of ({round}, {v}, {port})");
+                        let cut = faults.partitions.iter().any(|p| {
+                            (p.from_round..=p.until_round).contains(&round)
+                                && p.side.contains(&v) != p.side.contains(&u)
+                        });
+                        assert_eq!(
+                            plan.partitioned(round, v, u),
+                            cut,
+                            "trial {trial}: cut {v}->{u} at {round}"
+                        );
+                    }
+                }
+            }
+
+            // Node schedules, written densely.
+            let at = |list: &[(NodeId, usize)], v: NodeId| {
+                list.iter().find(|&&(u, _)| u == v).map(|&(_, r)| r)
+            };
+            let churn_at = |v: NodeId, leave: bool| {
+                churn.events.iter().find_map(|e| match e.kind {
+                    ChurnKind::Leave { node } if leave && node == v => Some(e.round),
+                    ChurnKind::Join { node } if !leave && node == v => Some(e.round),
+                    _ => None,
+                })
+            };
+            for round in 1..rounds {
+                for v in 0..n {
+                    let want = if churn_at(v, true) == Some(round) {
+                        Some(NodeEvent::Leave)
+                    } else if churn_at(v, false) == Some(round) {
+                        Some(NodeEvent::Join)
+                    } else if at(&faults.crashes, v) == Some(round) {
+                        Some(NodeEvent::Crash)
+                    } else if at(&faults.recoveries, v) == Some(round) {
+                        Some(NodeEvent::Recover)
+                    } else {
+                        None
+                    };
+                    assert_eq!(
+                        plan.node_event(v, round),
+                        want,
+                        "trial {trial}: event of {v} at {round}"
+                    );
+                }
+            }
+
+            // Presence, replayed the way the sequential engine sweeps a
+            // round: node events apply in node order, so an observer sees
+            // the new state of lower ids and the old state of the rest.
+            let mut before: Vec<bool> = (0..n).map(|v| !churn.absent_nodes.contains(&v)).collect();
+            for round in 0..rounds {
+                let mut after = before.clone();
+                for e in churn.sorted_events().iter().filter(|e| e.round == round) {
+                    match e.kind {
+                        ChurnKind::Join { node } => after[node] = true,
+                        ChurnKind::Leave { node } => after[node] = false,
+                        ChurnKind::EdgeUp { .. } | ChurnKind::EdgeDown { .. } => {}
+                    }
+                }
+                for u in 0..n {
+                    for observer in 0..n {
+                        let want = if u < observer { after[u] } else { before[u] };
+                        assert_eq!(
+                            plan.present_seen(u, round, observer),
+                            want,
+                            "trial {trial}: presence of {u} to {observer} at {round}"
+                        );
+                    }
+                }
+                before = after;
             }
         }
     }

@@ -42,7 +42,7 @@ use std::sync::Barrier;
 use dam_graph::{NodeId, Topology};
 use parking_lot::Mutex;
 
-use crate::engine::{BackendResult, Network, RunOutcome, RunPlan};
+use crate::engine::{BackendResult, Network, NodeEvent, RunOutcome, RunPlan};
 use crate::error::SimError;
 use crate::kernel::{Deliver, Kernel, Tally};
 use crate::message::BitSize;
@@ -343,7 +343,7 @@ impl<M> Deliver<M> for Slots<'_, '_, M> {
         // ordered by `present_seen` in `open`, and *halting*
         // transitions need no gate: the receiver discards on drain
         // either way.)
-        if self.sh.k.plan.recovery_round[u] == Some(round) && v < u {
+        if v < u && self.sh.k.plan.node_event(u, round) == Some(NodeEvent::Recover) {
             return;
         }
         // SAFETY: `v` is the unique sender over `(u, q)` and sends at
@@ -547,6 +547,7 @@ where
         let mut aborted = false;
         for i in 0..protos_t.len() {
             let v = base + i;
+            let event = if round == 0 { None } else { sh.k.plan.node_event(v, round) };
             if round == 0 {
                 if !sh.k.plan.node_present0[v] {
                     // Absent at round 0: silent until it joins (if ever).
@@ -576,7 +577,7 @@ where
                     }
                 }));
                 aborted = report_incident(v, res, &mut local.fault, incidents);
-            } else if sh.k.plan.leave_round[v] == Some(round) {
+            } else if event == Some(NodeEvent::Leave) {
                 // Permanent leave: silent, like a crash that never
                 // recovers — but also absent from the topology.
                 drain_node(sh, cur, v, round, None);
@@ -586,7 +587,7 @@ where
                 halted_t[i] = true;
                 local.tally.stats.churn_events = local.tally.stats.churn_events.saturating_add(1);
                 local.tally.record(TraceEvent::Churn { round, kind: ChurnKind::Leave { node: v } });
-            } else if sh.k.plan.join_round[v] == Some(round) {
+            } else if event == Some(NodeEvent::Join) {
                 drain_node(sh, cur, v, round, None);
                 let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     // Join: fresh ports, empty registers, a randomness
@@ -623,7 +624,7 @@ where
                 }));
                 aborted = report_incident(v, res, &mut local.fault, incidents);
             } else {
-                if sh.k.plan.crash_round[v] == Some(round) && !halted_t[i] {
+                if event == Some(NodeEvent::Crash) && !halted_t[i] {
                     halted_t[i] = true; // crash-stop: silent, mid-protocol
                     sh.halted_count.fetch_add(1, Ordering::SeqCst);
                     local.tally.record(TraceEvent::Fault {
@@ -633,7 +634,7 @@ where
                         peer: None,
                     });
                 }
-                if sh.k.plan.recovery_round[v] == Some(round) {
+                if event == Some(NodeEvent::Recover) {
                     drain_node(sh, cur, v, round, None);
                     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         // Crash-recover: wiped state, fresh randomness,
