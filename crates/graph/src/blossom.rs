@@ -184,7 +184,7 @@ mod tests {
     use crate::brute;
     use crate::generators;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngExt, SeedableRng};
 
     #[test]
     fn handles_blossoms() {
@@ -213,6 +213,32 @@ mod tests {
             let m = maximum_matching(&g);
             m.validate(&g).unwrap();
             assert_eq!(m.size(), brute::maximum_matching_size(&g), "mismatch on {g}");
+        }
+    }
+
+    #[test]
+    fn edge_subgraphs_match_only_surviving_edges() {
+        // Masked-out edge ids stay in the id space of an edge subgraph
+        // but leave its adjacency; none of them may enter the matching.
+        let g = generators::cycle(6);
+        let keep: Vec<bool> = (0..g.edge_count()).map(|e| e != 0 && e != 3).collect();
+        let sub = g.edge_subgraph(&keep);
+        let m = maximum_matching(&sub);
+        m.validate(&sub).unwrap();
+        assert_eq!(m.size(), 2);
+
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..40 {
+            let g = generators::gnp(10, 0.4, &mut rng);
+            let keep: Vec<bool> = (0..g.edge_count()).map(|_| rng.random_bool(0.6)).collect();
+            let sub = g.edge_subgraph(&keep);
+            let compact = crate::Graph::builder(g.node_count())
+                .edges(g.edge_ids().filter(|&e| keep[e]).map(|e| g.endpoints(e)))
+                .build()
+                .unwrap();
+            let m = maximum_matching(&sub);
+            m.validate(&sub).unwrap();
+            assert_eq!(m.size(), brute::maximum_matching_size(&compact), "mismatch on {sub}");
         }
     }
 
