@@ -28,10 +28,12 @@ pub fn maximum_matching(g: &Graph) -> Matching {
     let n = g.node_count();
     let mut mate = vec![NIL; n];
 
-    // Greedy warm start speeds up the search considerably.
+    // Greedy warm start speeds up the search considerably. It walks only
+    // edges in adjacency: an `edge_subgraph` keeps masked-out ids in its
+    // id space.
     for e in g.edge_ids() {
         let (u, v) = g.endpoints(e);
-        if mate[u] == NIL && mate[v] == NIL {
+        if mate[u] == NIL && mate[v] == NIL && g.incident(u).any(|(_, _, f)| f == e) {
             mate[u] = v;
             mate[v] = u;
         }
