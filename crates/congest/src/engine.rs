@@ -251,7 +251,7 @@ impl FaultPlan {
         check_prob(self.corrupt, "corruption")?;
 
         for (what, list) in [("equivocator", &self.equivocators), ("liar", &self.liars)] {
-            let mut seen = vec![false; n];
+            let mut seen = id_mask(list, n);
             for &v in list {
                 if v >= n {
                     return invalid(format!(
@@ -261,21 +261,23 @@ impl FaultPlan {
                 if seen[v] {
                     return invalid(format!("node {v} appears twice in the {what} list"));
                 }
-                seen[v] = true;
+                seen.set(v, true);
             }
         }
 
-        let mut crash_round = vec![None; n];
-        for &(v, r) in &self.crashes {
+        let mut crashed = id_mask(&self.crashes, n);
+        for &(v, _) in &self.crashes {
             if v >= n {
                 return invalid(format!("crash names node {v}, but the graph has {n} nodes"));
             }
-            if crash_round[v].is_some() {
+            if crashed[v] {
                 return invalid(format!("node {v} is crashed twice"));
             }
-            crash_round[v] = Some(r);
+            crashed.set(v, true);
         }
-        let mut recovered = vec![false; n];
+        let mut crashes = self.crashes.clone();
+        crashes.sort_unstable();
+        let mut recovered = id_mask(&self.recoveries, n);
         for &(v, r) in &self.recoveries {
             if v >= n {
                 return invalid(format!("recovery names node {v}, but the graph has {n} nodes"));
@@ -283,17 +285,18 @@ impl FaultPlan {
             if recovered[v] {
                 return invalid(format!("node {v} is recovered twice"));
             }
-            recovered[v] = true;
-            match crash_round[v] {
-                None => {
+            recovered.set(v, true);
+            match crashes.binary_search_by_key(&v, |&(u, _)| u) {
+                Err(_) => {
                     return invalid(format!("node {v} recovers without ever crashing"));
                 }
-                Some(cr) if r <= cr => {
+                Ok(i) if r <= crashes[i].1 => {
+                    let cr = crashes[i].1;
                     return invalid(format!(
                         "node {v} recovers at round {r}, not after its crash at round {cr}"
                     ));
                 }
-                Some(_) => {}
+                Ok(_) => {}
             }
         }
         for link in &self.links {
@@ -338,6 +341,12 @@ impl FaultPlan {
         }
         Ok(())
     }
+}
+
+/// A scratch mask over node ids `0..n` for scanning `list`; zero bits
+/// when the list is empty, so a clean plan validates without allocating.
+fn id_mask<T>(list: &[T], n: usize) -> BitSet {
+    BitSet::new(if list.is_empty() { 0 } else { n })
 }
 
 /// One scheduled topology event of a [`ChurnPlan`].
@@ -474,7 +483,10 @@ impl ChurnPlan {
         let n = graph.node_count();
         let m = graph.edge_count();
         let invalid = |reason: String| Err(SimError::InvalidChurnPlan { reason });
-        let mut node_present = vec![true; n];
+        if self.is_empty() {
+            return Ok(());
+        }
+        let mut node_present = BitSet::filled(n, true);
         for &v in &self.absent_nodes {
             if v >= n {
                 return invalid(format!("absent node {v}, but the graph has {n} nodes"));
@@ -482,9 +494,9 @@ impl ChurnPlan {
             if !node_present[v] {
                 return invalid(format!("node {v} is marked absent twice"));
             }
-            node_present[v] = false;
+            node_present.set(v, false);
         }
-        let mut edge_present = vec![true; m];
+        let mut edge_present = BitSet::filled(m, true);
         for &e in &self.absent_edges {
             if e >= m {
                 return invalid(format!("absent edge {e}, but the graph has {m} edges"));
@@ -492,9 +504,9 @@ impl ChurnPlan {
             if !edge_present[e] {
                 return invalid(format!("edge {e} is marked absent twice"));
             }
-            edge_present[e] = false;
+            edge_present.set(e, false);
         }
-        let mut left = vec![false; n];
+        let mut left = BitSet::new(n);
         for ev in self.sorted_events() {
             if ev.round == 0 {
                 return invalid(format!(
@@ -513,7 +525,7 @@ impl ChurnPlan {
                             ev.round
                         ));
                     }
-                    edge_present[edge] = true;
+                    edge_present.set(edge, true);
                 }
                 ChurnKind::EdgeDown { edge } => {
                     if edge >= m {
@@ -525,7 +537,7 @@ impl ChurnPlan {
                             ev.round
                         ));
                     }
-                    edge_present[edge] = false;
+                    edge_present.set(edge, false);
                 }
                 ChurnKind::Join { node } => {
                     if node >= n {
@@ -543,7 +555,7 @@ impl ChurnPlan {
                             ev.round
                         ));
                     }
-                    node_present[node] = true;
+                    node_present.set(node, true);
                 }
                 ChurnKind::Leave { node } => {
                     if node >= n {
@@ -555,8 +567,8 @@ impl ChurnPlan {
                             ev.round
                         ));
                     }
-                    node_present[node] = false;
-                    left[node] = true;
+                    node_present.set(node, false);
+                    left.set(node, true);
                 }
             }
         }
@@ -598,35 +610,55 @@ impl ChurnPlan {
 /// ([`crate::parallel`]) so both apply crash/recovery schedules, churn
 /// presence and per-message fault draws from identical, immutable data —
 /// the structural half of the bit-identical-execution guarantee.
+///
+/// The plan is sparse: its size follows the plan, not the graph. A
+/// clean run's plan holds no heap memory at all, and one with `k` links,
+/// crashes or churned nodes holds `O(k)` entries plus, once any node or
+/// equivocator is named, one bit per node for the lookup gate
+/// ([`RunPlan::heap_bytes`] counts it all).
 pub(crate) struct RunPlan {
-    /// Round at which each node crash-stops, if any.
-    pub(crate) crash_round: Vec<Option<usize>>,
-    /// Round at which each crashed node reboots, if any.
-    pub(crate) recovery_round: Vec<Option<usize>>,
     /// No run may end before this round: the last recovery or topology
     /// event that could wake a halted network up again.
     pub(crate) last_wake: usize,
-    /// Node presence at round 0 (word-packed; one bit per node).
-    pub(crate) node_present0: BitSet,
-    /// Edge presence at round 0 (word-packed; one bit per edge).
-    pub(crate) edge_present0: BitSet,
-    /// Round at which each absent node joins, if any.
-    pub(crate) join_round: Vec<Option<usize>>,
-    /// Round at which each node leaves permanently, if any.
-    pub(crate) leave_round: Vec<Option<usize>>,
+    /// Universe edges absent at round 0.
+    absent_edges: Vec<usize>,
     /// Edge up/down events, sorted by round (plan order within one).
     pub(crate) edge_events: Vec<ChurnEvent>,
-    /// `(loss, dup, reorder, corrupt)` effective on messages leaving
-    /// `[v][port]`.
-    fx: Vec<Vec<(f64, f64, f64, f64)>>,
-    /// Whether each node is a Byzantine equivocator (one bit per node).
-    pub(crate) equivocator: BitSet,
+    /// The schedule of every node that is absent at round 0 or crashes,
+    /// recovers, joins or leaves, sorted by node id.
+    nodes: Vec<(NodeId, NodeSchedule)>,
+    /// One bit per node, set exactly for the nodes in `nodes`, so that an
+    /// unscheduled node costs a bit test and no search; zero bits when
+    /// `nodes` is empty.
+    scheduled: BitSet,
+    /// Plan-wide `(loss, dup, reorder, corrupt)`.
+    base: (f64, f64, f64, f64),
+    /// `(loss, dup, reorder)` overriding the base on the port `(v, port)`,
+    /// sorted by port; of a link listed twice the last entry wins.
+    links: Vec<((NodeId, Port), LinkFx)>,
+    /// Whether each node is a Byzantine equivocator (one bit per node);
+    /// zero bits when there are none.
+    equivocator: BitSet,
     /// `(from_round, until_round, side-membership)` per partition.
-    partitions: Vec<(usize, usize, Vec<bool>)>,
+    partitions: Vec<(usize, usize, BitSet)>,
     /// Round-windowed loss/corruption overlays.
     squalls: Vec<Squall>,
     /// Whether duplication/reordering can occur (pending-queue gate).
     pub(crate) any_dup_or_reorder: bool,
+}
+
+/// A link's `(loss, dup, reorder)` on one of its ports.
+type LinkFx = (f64, f64, f64);
+
+/// The scheduled transitions of one node (see [`RunPlan::node_event`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeSchedule {
+    /// Absent from the initial topology.
+    absent: bool,
+    crash: Option<usize>,
+    recovery: Option<usize>,
+    join: Option<usize>,
+    leave: Option<usize>,
 }
 
 /// The fate of one message under [`RunPlan::message_fate`].
@@ -656,6 +688,16 @@ pub(crate) enum NodeEvent {
     Recover,
 }
 
+/// A bitset over `0..len` with `ids` set, or zero bits if `ids` is empty.
+fn gate(len: usize, ids: impl IntoIterator<Item = usize>) -> BitSet {
+    let mut ids = ids.into_iter().peekable();
+    let mut bits = BitSet::new(if ids.peek().is_some() { len } else { 0 });
+    for v in ids {
+        bits.set(v, true);
+    }
+    bits
+}
+
 impl RunPlan {
     /// Validates both plans against `graph` and derives the run-time
     /// schedules.
@@ -668,72 +710,142 @@ impl RunPlan {
         churn.validate(graph)?;
         churn.validate_against(faults)?;
         let n = graph.node_count();
-        let mut crash_round = vec![None; n];
-        for &(v, r) in &faults.crashes {
-            crash_round[v] = Some(r);
-        }
-        let mut recovery_round = vec![None; n];
-        for &(v, r) in &faults.recoveries {
-            recovery_round[v] = Some(r);
-        }
         let last_recovery = faults.recoveries.iter().map(|&(_, r)| r).max().unwrap_or(0);
         let last_wake = last_recovery.max(churn.last_event_round());
-        let (node_present0, edge_present0) = churn.initial_presence_on(graph);
-        let mut join_round = vec![None; n];
-        let mut leave_round = vec![None; n];
+
+        // Validation allows at most one crash, recovery, join and leave
+        // per node, so each field below is written at most once.
+        let mut ids: Vec<NodeId> = churn.absent_nodes.clone();
+        ids.extend(faults.crashes.iter().chain(&faults.recoveries).map(|&(v, _)| v));
+        ids.extend(churn.events.iter().filter_map(|ev| match ev.kind {
+            ChurnKind::Join { node } | ChurnKind::Leave { node } => Some(node),
+            ChurnKind::EdgeUp { .. } | ChurnKind::EdgeDown { .. } => None,
+        }));
+        ids.sort_unstable();
+        ids.dedup();
+        let mut nodes: Vec<(NodeId, NodeSchedule)> =
+            ids.into_iter().map(|v| (v, NodeSchedule::default())).collect();
+        fn entry(nodes: &mut [(NodeId, NodeSchedule)], v: NodeId) -> &mut NodeSchedule {
+            let i = nodes.binary_search_by_key(&v, |&(u, _)| u).expect("scheduled node");
+            &mut nodes[i].1
+        }
+        for &v in &churn.absent_nodes {
+            entry(&mut nodes, v).absent = true;
+        }
+        for &(v, r) in &faults.crashes {
+            entry(&mut nodes, v).crash = Some(r);
+        }
+        for &(v, r) in &faults.recoveries {
+            entry(&mut nodes, v).recovery = Some(r);
+        }
         let mut edge_events = Vec::new();
         for ev in churn.sorted_events() {
             match ev.kind {
-                ChurnKind::Join { node } => join_round[node] = Some(ev.round),
-                ChurnKind::Leave { node } => leave_round[node] = Some(ev.round),
+                ChurnKind::Join { node } => entry(&mut nodes, node).join = Some(ev.round),
+                ChurnKind::Leave { node } => entry(&mut nodes, node).leave = Some(ev.round),
                 ChurnKind::EdgeUp { .. } | ChurnKind::EdgeDown { .. } => edge_events.push(ev),
             }
         }
-        let mut fx: Vec<Vec<(f64, f64, f64, f64)>> = (0..n)
-            .map(|v| {
-                vec![(faults.loss, faults.dup, faults.reorder, faults.corrupt); graph.degree(v)]
-            })
-            .collect();
+
+        let mut links = Vec::new();
         for link in &faults.links {
             for (v, u) in [(link.a, link.b), (link.b, link.a)] {
                 for (p, w, _) in graph.incident(v) {
                     if w == u {
-                        fx[v][p] = (link.loss, link.dup, link.reorder, faults.corrupt);
+                        links.push(((v, p), (link.loss, link.dup, link.reorder)));
                     }
                 }
             }
         }
-        let mut equivocator = BitSet::new(n);
-        for &v in &faults.equivocators {
-            equivocator.set(v, true);
-        }
-        let partitions = faults
-            .partitions
-            .iter()
-            .map(|p| {
-                let mut side = vec![false; n];
-                for &v in &p.side {
-                    side[v] = true;
-                }
-                (p.from_round, p.until_round, side)
-            })
-            .collect();
-        let any_dup_or_reorder = fx.iter().flatten().any(|&(_, d, r, _)| d > 0.0 || r > 0.0);
+        // Last entry wins: reversed, a stable sort puts each port's
+        // latest entry first, and `dedup` keeps the first.
+        links.reverse();
+        links.sort_by_key(|&(port, _)| port);
+        links.dedup_by_key(|&mut (port, _)| port);
+        // Every directed port carries either the base or an override.
+        let any_dup_or_reorder = links.iter().any(|&(_, (_, d, r))| d > 0.0 || r > 0.0)
+            || ((faults.dup > 0.0 || faults.reorder > 0.0) && links.len() < 2 * graph.edge_count());
+
         Ok(RunPlan {
-            crash_round,
-            recovery_round,
             last_wake,
-            node_present0,
-            edge_present0,
-            join_round,
-            leave_round,
+            absent_edges: churn.absent_edges.clone(),
             edge_events,
-            fx,
-            equivocator,
-            partitions,
+            scheduled: gate(n, nodes.iter().map(|&(v, _)| v)),
+            nodes,
+            base: (faults.loss, faults.dup, faults.reorder, faults.corrupt),
+            links,
+            equivocator: gate(n, faults.equivocators.iter().copied()),
+            partitions: faults
+                .partitions
+                .iter()
+                .map(|p| {
+                    let mut side = BitSet::new(n);
+                    for &v in &p.side {
+                        side.set(v, true);
+                    }
+                    (p.from_round, p.until_round, side)
+                })
+                .collect(),
             squalls: faults.squalls.clone(),
             any_dup_or_reorder,
         })
+    }
+
+    /// Bytes the plan holds on the heap. A clean plan holds none, on any
+    /// graph.
+    #[cfg_attr(not(test), allow(dead_code))] // a memory profile's input
+    pub(crate) fn heap_bytes(&self) -> usize {
+        fn vec<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        fn bits(b: &BitSet) -> usize {
+            std::mem::size_of_val(b.words())
+        }
+        vec(&self.absent_edges)
+            + vec(&self.edge_events)
+            + vec(&self.nodes)
+            + bits(&self.scheduled)
+            + vec(&self.links)
+            + bits(&self.equivocator)
+            + vec(&self.partitions)
+            + self.partitions.iter().map(|(_, _, side)| bits(side)).sum::<usize>()
+            + vec(&self.squalls)
+    }
+
+    /// Node and edge presence at round 0, as fresh masks for an engine
+    /// to mutate.
+    pub(crate) fn initial_presence(&self, graph: &dyn Topology) -> (BitSet, BitSet) {
+        let mut node_present = BitSet::filled(graph.node_count(), true);
+        for &(v, s) in &self.nodes {
+            if s.absent {
+                node_present.set(v, false);
+            }
+        }
+        let mut edge_present = BitSet::filled(graph.edge_count(), true);
+        for &e in &self.absent_edges {
+            edge_present.set(e, false);
+        }
+        (node_present, edge_present)
+    }
+
+    /// The schedule of node `v`, if it has one.
+    #[inline]
+    fn schedule(&self, v: NodeId) -> Option<&NodeSchedule> {
+        if self.scheduled.is_empty() || !self.scheduled[v] {
+            return None;
+        }
+        self.nodes.binary_search_by_key(&v, |&(u, _)| u).ok().map(|i| &self.nodes[i].1)
+    }
+
+    /// Whether node `v` is present at round 0.
+    pub(crate) fn present_at_start(&self, v: NodeId) -> bool {
+        self.schedule(v).is_none_or(|s| !s.absent)
+    }
+
+    /// Whether node `v` is a Byzantine equivocator.
+    #[inline]
+    pub(crate) fn equivocates(&self, v: NodeId) -> bool {
+        !self.equivocator.is_empty() && self.equivocator[v]
     }
 
     /// Whether `v → u` crosses an active partition cut in `round`.
@@ -741,6 +853,19 @@ impl RunPlan {
         self.partitions
             .iter()
             .any(|&(from, until, ref side)| round >= from && round <= until && side[v] != side[u])
+    }
+
+    /// `(loss, dup, reorder, corrupt)` on messages leaving `(v, port)`,
+    /// before squalls.
+    #[inline]
+    fn fx(&self, v: NodeId, port: Port) -> (f64, f64, f64, f64) {
+        if !self.links.is_empty() {
+            if let Ok(i) = self.links.binary_search_by_key(&(v, port), |&(p, _)| p) {
+                let (loss, dup, reorder) = self.links[i].1;
+                return (loss, dup, reorder, self.base.3);
+            }
+        }
+        self.base
     }
 
     /// The fate of the message leaving `(v, port)` in `round`.
@@ -761,7 +886,7 @@ impl RunPlan {
         v: NodeId,
         port: Port,
     ) -> MsgFate {
-        let (mut loss, dup, reorder, mut corrupt) = self.fx[v][port];
+        let (mut loss, dup, reorder, mut corrupt) = self.fx(v, port);
         // Squall overlay: a pure function of the round, so the effective
         // probabilities (and hence the keyed per-message draws) are
         // identical on every backend. A message outside every window
@@ -802,13 +927,16 @@ impl RunPlan {
     /// sender `v` only when `u < v`. This reconstruction lets shards
     /// evaluate the identical predicate without sharing mutable state.
     pub(crate) fn present_seen(&self, u: NodeId, round: usize, observer: NodeId) -> bool {
-        let mut present = self.node_present0[u];
-        if let Some(jr) = self.join_round[u] {
+        let Some(s) = self.schedule(u) else {
+            return true;
+        };
+        let mut present = !s.absent;
+        if let Some(jr) = s.join {
             if jr < round || (jr == round && u < observer) {
                 present = true;
             }
         }
-        if let Some(lr) = self.leave_round[u] {
+        if let Some(lr) = s.leave {
             if lr < round || (lr == round && u < observer) {
                 present = false;
             }
@@ -822,15 +950,17 @@ impl RunPlan {
     /// nodes apart from churned ones and a recovery strictly after its
     /// crash, so the only possible tie is a join and a leave in the same
     /// round; the leave wins.
+    #[inline]
     pub(crate) fn node_event(&self, v: NodeId, round: usize) -> Option<NodeEvent> {
+        let s = self.schedule(v)?;
         let at = Some(round);
-        if self.leave_round[v] == at {
+        if s.leave == at {
             Some(NodeEvent::Leave)
-        } else if self.join_round[v] == at {
+        } else if s.join == at {
             Some(NodeEvent::Join)
-        } else if self.crash_round[v] == at {
+        } else if s.crash == at {
             Some(NodeEvent::Crash)
-        } else if self.recovery_round[v] == at {
+        } else if s.recovery == at {
             Some(NodeEvent::Recover)
         } else {
             None
@@ -1164,10 +1294,11 @@ impl<'g> Network<'g> {
             self.async_info = None;
         }
         let kernel = Kernel { graph: self.graph, config, plan, peers: &self.peers, run_id };
+        let (node_present, edge_present) = plan.initial_presence(self.graph);
         let mut net: SeqNet<'_, P::Msg> = SeqNet {
             halted: BitSet::new(n),
-            node_present: plan.node_present0.clone(),
-            edge_present: plan.edge_present0.clone(),
+            node_present,
+            edge_present,
             next: (0..n).map(|_| Vec::new()).collect(),
             pending: Vec::new(),
             timing: timed.then(|| {
@@ -2291,7 +2422,8 @@ pub(crate) mod tests {
             });
         }
         let from = rng.random_range(0..10);
-        let side: Vec<NodeId> = (0..n).filter(|_| rng.random_bool(0.4)).collect();
+        let share = if rng.random_bool(0.1) { 0.0 } else { 0.4 };
+        let side: Vec<NodeId> = (0..n).filter(|_| rng.random_bool(share)).collect();
         faults.partitions.push(Partition { from_round: from, until_round: from + 4, side });
         let mut nodes: Vec<NodeId> = (0..n).collect();
         nodes.shuffle(rng);
@@ -2345,9 +2477,9 @@ pub(crate) mod tests {
             }
             let (seed, run) = (trial, 3 * trial + 1);
             for round in 0..rounds {
-                for v in 0..n {
+                for (v, ports) in fx.iter().enumerate() {
                     for (port, u, _) in g.incident(v) {
-                        let (mut loss, dup, reorder, mut corrupt) = fx[v][port];
+                        let (mut loss, dup, reorder, mut corrupt) = ports[port];
                         for s in faults
                             .squalls
                             .iter()
@@ -2443,6 +2575,46 @@ pub(crate) mod tests {
                 }
                 before = after;
             }
+        }
+    }
+
+    #[test]
+    fn run_plan_footprint_follows_the_plan_not_the_graph() {
+        use dam_graph::ImplicitTopology;
+        let small = ImplicitTopology::torus(100, 100).unwrap();
+        let large = ImplicitTopology::torus(1000, 1000).unwrap();
+        let bytes = |g: &dyn Topology, faults: &FaultPlan| {
+            RunPlan::build(g, faults, &ChurnPlan::default()).unwrap().heap_bytes()
+        };
+        // The one-bit-per-node lookup gate of a plan that names nodes.
+        let gate = |g: &dyn Topology| g.node_count().div_ceil(64) * 8;
+
+        // A clean plan, and plan-wide probabilities, cost nothing.
+        let probs = FaultPlan::lossy(0.1).with_dup(0.1).with_reorder(0.1).with_corrupt(0.1);
+        for faults in [FaultPlan::default(), probs.clone()] {
+            assert_eq!(bytes(&small, &faults), 0);
+            assert_eq!(bytes(&large, &faults), 0);
+        }
+
+        // k links or crashes: O(k) entries, the same on either graph
+        // (crashes add the gate).
+        let links = |k: usize| {
+            let mut faults = probs.clone();
+            faults.links = (0..k)
+                .map(|i| LinkFault { a: i, b: i + 1, loss: 0.5, dup: 0.0, reorder: 0.0 })
+                .collect();
+            faults
+        };
+        let crashes = |k: usize| FaultPlan::crashes((0..k).map(|v| (v, 3)).collect());
+        let link_entry = std::mem::size_of::<((NodeId, Port), LinkFx)>();
+        let node_entry = std::mem::size_of::<(NodeId, NodeSchedule)>();
+        for k in [1, 8, 64] {
+            let on_small = bytes(&small, &links(k));
+            assert_eq!(on_small, bytes(&large, &links(k)), "{k} links");
+            assert!(on_small <= 2 * (2 * k) * link_entry, "{k} links take {on_small} bytes");
+            let on_small = bytes(&small, &crashes(k)) - gate(&small);
+            assert_eq!(on_small, bytes(&large, &crashes(k)) - gate(&large), "{k} crashes");
+            assert!(on_small <= 2 * k * node_entry, "{k} crashes take {on_small} bytes");
         }
     }
 

@@ -202,7 +202,7 @@ impl Kernel<'_> {
             // applies its own faults. Draws come from the dedicated
             // byz stream keyed on the message coordinates.
             let mut msg = msg;
-            if self.plan.equivocator[v] {
+            if self.plan.equivocates(v) {
                 let mut brng = rng::byz_rng(seed, run, round, v, port);
                 let kind = CorruptKind::draw(&mut brng);
                 tally.stats.equivocations = tally.stats.equivocations.saturating_add(1);

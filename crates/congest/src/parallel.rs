@@ -214,7 +214,8 @@ struct Shared<'a, M> {
     /// Per-directed-edge FIFO of `(delivery_round, payload)` for
     /// duplicated/reordered messages. Single producer (the edge's
     /// sender), single consumer (the receiver), mutexed because they can
-    /// touch it in the same round.
+    /// touch it in the same round. Empty unless the plan can duplicate
+    /// or reorder (`RunPlan::any_dup_or_reorder`).
     fifos: Vec<Mutex<Vec<(usize, M)>>>,
     /// Edge presence under churn; written only by worker 0 between
     /// barriers, mirroring the sequential engine's round prologue.
@@ -405,8 +406,12 @@ impl Network<'_> {
         let sh = Shared {
             k: Kernel { graph, config, plan, peers, run_id },
             n,
-            fifos: (0..total_slots).map(|_| Mutex::new(Vec::new())).collect(),
-            edge_present: plan.edge_present0.iter().map(AtomicBool::new).collect(),
+            fifos: if plan.any_dup_or_reorder {
+                (0..total_slots).map(|_| Mutex::new(Vec::new())).collect()
+            } else {
+                Vec::new()
+            },
+            edge_present: plan.initial_presence(graph).1.iter().map(AtomicBool::new).collect(),
             halted_pub: (0..n).map(|_| AtomicBool::new(false)).collect(),
             pending_count: AtomicI64::new(0),
             round_frames: AtomicU64::new(0),
@@ -549,7 +554,7 @@ where
             let v = base + i;
             let event = if round == 0 { None } else { sh.k.plan.node_event(v, round) };
             if round == 0 {
-                if !sh.k.plan.node_present0[v] {
+                if !sh.k.plan.present_at_start(v) {
                     // Absent at round 0: silent until it joins (if ever).
                     halted_t[i] = true;
                     sh.halted_count.fetch_add(1, Ordering::SeqCst);
