@@ -612,10 +612,10 @@ impl ChurnPlan {
 /// the structural half of the bit-identical-execution guarantee.
 ///
 /// The plan is sparse: its size follows the plan, not the graph. A
-/// clean run's plan holds no heap memory at all, and one with `k` links,
-/// crashes or churned nodes holds `O(k)` entries plus, once any node or
-/// equivocator is named, one bit per node for the lookup gate
-/// ([`RunPlan::heap_bytes`] counts it all).
+/// clean run's plan holds no heap memory at all. One with `k` links,
+/// crashes or churned nodes holds `O(k)` entries, plus one bit per node
+/// for each lookup gate in use (scheduled nodes, equivocators) and for
+/// each partition side. [`RunPlan::heap_bytes`] counts it all.
 pub(crate) struct RunPlan {
     /// No run may end before this round: the last recovery or topology
     /// event that could wake a halted network up again.
