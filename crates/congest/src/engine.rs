@@ -343,8 +343,8 @@ impl FaultPlan {
     }
 }
 
-/// A scratch mask over node ids `0..n` for scanning `list`; zero bits
-/// when the list is empty, so a clean plan validates without allocating.
+/// An all-zero mask over node ids `0..n` for the ids in `list`, or zero
+/// bits when the list is empty, so a clean plan allocates nothing.
 fn id_mask<T>(list: &[T], n: usize) -> BitSet {
     BitSet::new(if list.is_empty() { 0 } else { n })
 }
@@ -688,16 +688,6 @@ pub(crate) enum NodeEvent {
     Recover,
 }
 
-/// A bitset over `0..len` with `ids` set, or zero bits if `ids` is empty.
-fn gate(len: usize, ids: impl IntoIterator<Item = usize>) -> BitSet {
-    let mut ids = ids.into_iter().peekable();
-    let mut bits = BitSet::new(if ids.peek().is_some() { len } else { 0 });
-    for v in ids {
-        bits.set(v, true);
-    }
-    bits
-}
-
 impl RunPlan {
     /// Validates both plans against `graph` and derives the run-time
     /// schedules.
@@ -762,19 +752,28 @@ impl RunPlan {
         links.reverse();
         links.sort_by_key(|&(port, _)| port);
         links.dedup_by_key(|&mut (port, _)| port);
-        // Every directed port carries either the base or an override.
+        // The base applies on every one of the 2m directed ports that
+        // no link overrides.
         let any_dup_or_reorder = links.iter().any(|&(_, (_, d, r))| d > 0.0 || r > 0.0)
             || ((faults.dup > 0.0 || faults.reorder > 0.0) && links.len() < 2 * graph.edge_count());
 
+        let mut scheduled = id_mask(&nodes, n);
+        for &(v, _) in &nodes {
+            scheduled.set(v, true);
+        }
+        let mut equivocator = id_mask(&faults.equivocators, n);
+        for &v in &faults.equivocators {
+            equivocator.set(v, true);
+        }
         Ok(RunPlan {
             last_wake,
             absent_edges: churn.absent_edges.clone(),
             edge_events,
-            scheduled: gate(n, nodes.iter().map(|&(v, _)| v)),
             nodes,
+            scheduled,
             base: (faults.loss, faults.dup, faults.reorder, faults.corrupt),
             links,
-            equivocator: gate(n, faults.equivocators.iter().copied()),
+            equivocator,
             partitions: faults
                 .partitions
                 .iter()
