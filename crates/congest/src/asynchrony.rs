@@ -232,19 +232,19 @@ impl<'a> AsyncTiming<'a> {
         self.makespan = self.makespan.max(self.t.iter().copied().max().unwrap_or(0));
     }
 
-    /// Fast gate: can this run drop frames at all?
-    pub(crate) fn may_drop(&self) -> bool {
-        self.patience.is_some()
-    }
-
-    /// Was the frame `sender → receiver` of `send_round` dropped for
-    /// arriving past the receiver's patience deadline?
-    pub(crate) fn is_dropped(&self, sender: NodeId, receiver: NodeId, send_round: usize) -> bool {
-        self.patience.is_some() && self.dropped.contains(&(sender, receiver, send_round))
-    }
-
-    pub(crate) fn count_timing_drops(&mut self, n: u64) {
-        self.timing_drops = self.timing_drops.saturating_add(n);
+    /// Was the frame of `send_round` arriving at `port` of `receiver`
+    /// dropped for resolving past the receiver's patience deadline?
+    /// Counts the drop.
+    pub(crate) fn drops(&mut self, receiver: NodeId, port: Port, send_round: usize) -> bool {
+        if self.patience.is_none() {
+            return false;
+        }
+        let sender = self.peers.get(receiver, port).0;
+        let dropped = self.dropped.contains(&(sender, receiver, send_round));
+        if dropped {
+            self.timing_drops = self.timing_drops.saturating_add(1);
+        }
+        dropped
     }
 
     pub(crate) fn finish(self) -> AsyncInfo {

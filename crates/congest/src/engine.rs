@@ -6,7 +6,7 @@ use dam_graph::{BitSet, NodeId, Topology};
 
 use crate::asynchrony::AsyncTiming;
 use crate::error::SimError;
-use crate::kernel::{Deliver, Kernel, Peers, Tally};
+use crate::kernel::{Deliver, Kernel, Mailbox, Peers, Tally};
 use crate::message::CorruptKind;
 use crate::model::{Backend, CostModel, Model, SimConfig};
 use crate::node::{Context, Port, Protocol};
@@ -1043,15 +1043,23 @@ struct SeqNet<'a, M> {
     halted: BitSet,
     node_present: BitSet,
     edge_present: BitSet,
-    /// Next round's inboxes.
-    next: Vec<Vec<(Port, M)>>,
-    /// Messages duplicated or reordered into a later round:
-    /// `(delivery_round, receiver, receiver port, send_round, payload)`.
-    /// The send round is carried so the asynchronous backend can drop
-    /// every copy of a frame that arrived past its patience deadline.
-    pending: Vec<(usize, NodeId, Port, usize, M)>,
+    mailbox: Mailbox<'a, M>,
+    /// Messages put into the mailbox this round, for quiescence.
+    delivered: usize,
     /// The asynchronous backend's virtual-time layer.
     timing: Option<AsyncTiming<'a>>,
+}
+
+impl<M> SeqNet<'_, M> {
+    /// Empties `v`'s mailbox for `round` into `inbox`, or discards it;
+    /// under a patience budget, frames that resolved late at `v` are
+    /// dropped (the slot payload and every duplicated/reordered copy).
+    fn drain(&mut self, v: NodeId, round: usize, inbox: Option<&mut Vec<(Port, M)>>) {
+        let timing = &mut self.timing;
+        self.mailbox.drain(v, round, inbox, |q, sent| {
+            timing.as_mut().is_some_and(|tm| tm.drops(v, q, sent))
+        });
+    }
 }
 
 impl<M> Deliver<M> for SeqNet<'_, M> {
@@ -1059,14 +1067,15 @@ impl<M> Deliver<M> for SeqNet<'_, M> {
         self.edge_present[e] && self.node_present[u]
     }
 
-    fn now(&mut self, _round: usize, _v: NodeId, u: NodeId, q: Port, msg: M) {
+    fn now(&mut self, round: usize, _v: NodeId, u: NodeId, q: Port, msg: M) {
         if !self.halted[u] {
-            self.next[u].push((q, msg));
+            self.mailbox.put(round, u, q, msg);
+            self.delivered += 1;
         }
     }
 
     fn later(&mut self, at: usize, round: usize, u: NodeId, q: Port, msg: M) {
-        self.pending.push((at, u, q, round, msg));
+        self.mailbox.later(at, round, u, q, msg);
     }
 
     fn begin_step(&mut self, v: NodeId) {
@@ -1298,8 +1307,8 @@ impl<'g> Network<'g> {
             halted: BitSet::new(n),
             node_present,
             edge_present,
-            next: (0..n).map(|_| Vec::new()).collect(),
-            pending: Vec::new(),
+            mailbox: Mailbox::new(&self.peers.offsets, plan.any_dup_or_reorder),
+            delivered: 0,
             timing: timed.then(|| {
                 AsyncTiming::new(
                     self.graph,
@@ -1318,7 +1327,7 @@ impl<'g> Network<'g> {
 
         let mut protos: Vec<P> = (0..n).map(|v| make(v, self.graph)).collect();
         let mut rngs: Vec<_> = (0..n).map(|v| rng::node_rng(config.seed, run_id, v)).collect();
-        let mut inbox: Vec<Vec<(Port, P::Msg)>> = (0..n).map(|_| Vec::new()).collect();
+        let mut inbox: Vec<(Port, P::Msg)> = Vec::new();
         let mut outbox: Vec<(Port, P::Msg)> = Vec::new();
         let mut sent = vec![false; self.graph.max_degree()];
         let mut fault: Option<SimError> = None;
@@ -1374,8 +1383,8 @@ impl<'g> Network<'g> {
             }
             if let Some(k) = config.quiescence {
                 if tally.stats.frames() == last_messages
-                    && net.next.iter().all(Vec::is_empty)
-                    && net.pending.is_empty()
+                    && net.delivered == 0
+                    && net.mailbox.pending() == 0
                 {
                     quiet_rounds += 1;
                     if quiet_rounds >= k && round >= last_wake {
@@ -1394,6 +1403,7 @@ impl<'g> Network<'g> {
             }
             round += 1;
             tally.round_max_bits = 0;
+            net.delivered = 0;
             // Advance virtual time before this round's edge events: the
             // frames being timed were sent under the previous topology.
             if let Some(tm) = net.timing.as_mut() {
@@ -1414,37 +1424,6 @@ impl<'g> Network<'g> {
                 tally.stats.churn_events = tally.stats.churn_events.saturating_add(1);
                 tally.record(TraceEvent::Churn { round, kind: ev.kind });
             }
-            std::mem::swap(&mut inbox, &mut net.next);
-            // Under a patience budget, frames that resolved late at the
-            // receiver are dropped wholesale — the slot payload here and
-            // every duplicated/reordered copy at its due round below.
-            if let Some(tm) = net.timing.as_mut() {
-                if tm.may_drop() {
-                    for (v, slot) in inbox.iter_mut().enumerate() {
-                        let before = slot.len();
-                        slot.retain(|&(q, _)| !tm.is_dropped(self.peers.get(v, q).0, v, round - 1));
-                        tm.count_timing_drops((before - slot.len()) as u64);
-                    }
-                }
-            }
-            if !net.pending.is_empty() {
-                // Deliver duplicated/reordered messages that are due.
-                let mut rest = Vec::with_capacity(net.pending.len());
-                for (r, u, q, sr, msg) in net.pending.drain(..) {
-                    if r == round {
-                        if let Some(tm) = net.timing.as_mut() {
-                            if tm.is_dropped(self.peers.get(u, q).0, u, sr) {
-                                tm.count_timing_drops(1);
-                                continue;
-                            }
-                        }
-                        inbox[u].push((q, msg));
-                    } else {
-                        rest.push((r, u, q, sr, msg));
-                    }
-                }
-                net.pending = rest;
-            }
             for v in 0..n {
                 // A join or a recovery boots a fresh instance; `boot` is
                 // the salt of its randomness stream.
@@ -1455,7 +1434,7 @@ impl<'g> Network<'g> {
                         // no message can reach its ports again.
                         net.node_present.set(v, false);
                         net.halted.set(v, true);
-                        inbox[v].clear();
+                        net.drain(v, round, None);
                         tally.stats.churn_events = tally.stats.churn_events.saturating_add(1);
                         tally.record(TraceEvent::Churn {
                             round,
@@ -1502,7 +1481,7 @@ impl<'g> Network<'g> {
                     protos[v] = make(v, self.graph);
                     rngs[v] = rng::node_rng(config.seed ^ salt, run_id, v);
                     net.halted.set(v, false);
-                    inbox[v].clear();
+                    net.drain(v, round, None);
                     let mut halt_flag = false;
                     let mut ctx = Context {
                         node: v,
@@ -1524,10 +1503,10 @@ impl<'g> Network<'g> {
                     continue;
                 }
                 if net.halted[v] {
-                    inbox[v].clear();
+                    net.drain(v, round, None);
                     continue;
                 }
-                inbox[v].sort_by_key(|&(p, _)| p);
+                net.drain(v, round, Some(&mut inbox));
                 let mut halt_flag = false;
                 let mut ctx = Context {
                     node: v,
@@ -1540,9 +1519,9 @@ impl<'g> Network<'g> {
                     fault: &mut fault,
                     integrity: &mut integrity,
                 };
-                protos[v].on_round(&mut ctx, &inbox[v]);
+                protos[v].on_round(&mut ctx, &inbox);
                 net.halted.set(v, halt_flag);
-                inbox[v].clear();
+                inbox.clear();
                 kernel.flush(v, round, &mut outbox, &mut sent, &mut tally, &mut net);
                 if net.halted[v] {
                     tally.record(TraceEvent::Halt { round, node: v });
@@ -2615,6 +2594,81 @@ pub(crate) mod tests {
             assert_eq!(on_small, bytes(&large, &crashes(k)) - gate(&large), "{k} crashes");
             assert!(on_small <= 2 * k * node_entry, "{k} crashes take {on_small} bytes");
         }
+    }
+
+    #[test]
+    fn mailbox_footprint_is_two_slots_per_arc() {
+        use crate::kernel::Mailbox;
+        use dam_graph::ImplicitTopology;
+        use parking_lot::Mutex;
+        type Fifo = Mutex<Vec<(usize, usize, u32)>>;
+        for (w, h) in [(100, 100), (1000, 1000)] {
+            let g = ImplicitTopology::torus(w, h).unwrap();
+            let n = g.node_count();
+            let mut offsets = vec![0];
+            for v in 0..n {
+                offsets.push(offsets[v] + g.degree(v));
+            }
+            let arcs = offsets[n];
+            let plan = |faults: &FaultPlan| {
+                RunPlan::build(&g, faults, &ChurnPlan::default()).unwrap().any_dup_or_reorder
+            };
+            // A clean run, and one that only loses or corrupts: two
+            // generations of one slot per arc, two mail bits per node,
+            // no FIFO.
+            for faults in [FaultPlan::default(), FaultPlan::lossy(0.1).with_corrupt(0.1)] {
+                let mailbox = Mailbox::<u32>::new(&offsets, plan(&faults));
+                assert_eq!(mailbox.slot_count(), 2 * arcs, "torus:{w}x{h}");
+                assert_eq!(mailbox.fifo_bytes(), 0, "torus:{w}x{h}");
+                let slot = std::mem::size_of::<std::cell::Cell<Option<u32>>>();
+                assert_eq!(mailbox.heap_bytes(), 2 * arcs * slot + 2 * n, "torus:{w}x{h}");
+            }
+            // A plan that can duplicate or reorder gets one FIFO per arc
+            // and a queued-copy counter per node.
+            for faults in
+                [FaultPlan::default().with_dup(0.1), FaultPlan::default().with_reorder(0.1)]
+            {
+                let mailbox = Mailbox::<u32>::new(&offsets, plan(&faults));
+                let fifos = arcs * std::mem::size_of::<Fifo>() + n * 4;
+                assert_eq!(mailbox.fifo_bytes(), fifos, "torus:{w}x{h}");
+            }
+        }
+    }
+
+    #[test]
+    fn mailbox_drains_port_ordered_slot_first_then_copies() {
+        use crate::kernel::Mailbox;
+        // Node 0 has three ports, node 1 one.
+        let offsets = [0, 3, 4];
+        let mailbox = Mailbox::<u32>::new(&offsets, true);
+        // Sent in round 1: slot messages on ports 2 and 0 (in that
+        // order), copies due at round 2 on port 2 and port 1, one due at
+        // round 3 on port 0.
+        mailbox.put(1, 0, 2, 20);
+        mailbox.later(2, 0, 0, 2, 21);
+        mailbox.put(1, 0, 0, 0);
+        mailbox.later(2, 1, 0, 1, 11);
+        mailbox.later(3, 1, 0, 0, 1);
+        mailbox.later(2, 1, 0, 2, 22);
+        let mut inbox = Vec::new();
+        let mut seen = Vec::new();
+        mailbox.drain(0, 2, Some(&mut inbox), |q, sent| {
+            seen.push((q, sent));
+            false
+        });
+        assert_eq!(inbox, [(0, 0), (1, 11), (2, 20), (2, 21), (2, 22)]);
+        assert_eq!(seen, [(0, 1), (1, 1), (2, 1), (2, 0), (2, 1)]);
+        assert_eq!(mailbox.pending(), 1);
+        // A late message is dropped; a discarding drain still empties.
+        inbox.clear();
+        mailbox.put(2, 1, 0, 5);
+        mailbox.drain(1, 3, Some(&mut inbox), |_, _| true);
+        mailbox.drain(0, 3, None, |_, _| false);
+        assert!(inbox.is_empty());
+        assert_eq!(mailbox.pending(), 0);
+        mailbox.drain(0, 4, Some(&mut inbox), |_, _| false);
+        mailbox.drain(1, 4, Some(&mut inbox), |_, _| false);
+        assert!(inbox.is_empty(), "drained generations are clean");
     }
 
     use rand::SeedableRng;

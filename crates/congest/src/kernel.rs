@@ -11,7 +11,11 @@
 //! therefore follows from there being one kernel, and the differential
 //! suites check the hooks.
 
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+
 use dam_graph::{NodeId, Topology};
+use parking_lot::Mutex;
 
 use crate::engine::RunPlan;
 use crate::message::{BitSize, CorruptKind, MsgClass};
@@ -24,7 +28,7 @@ use crate::trace::{FaultKind, TraceEvent};
 /// The port-translation table in CSR form: port `p` of node `v` is port
 /// `q` of node `u`, where `(u, q) = entries[offsets[v] + p]`.
 ///
-/// Built once per [`crate::Network`]; the sharded executor also uses
+/// Built once per [`crate::Network`]; the [`Mailbox`] also uses
 /// `offsets[u] + q` as the index of the message slot behind `(u, q)`.
 pub(crate) struct Peers {
     /// `offsets[v]..offsets[v + 1]` are `v`'s entries (`n + 1` values).
@@ -69,6 +73,171 @@ impl Peers {
     /// The `(neighbour, remote port)` pair behind `(v, port)`.
     pub(crate) fn get(&self, v: NodeId, port: Port) -> (NodeId, Port) {
         self.entries[self.offsets[v] + port]
+    }
+}
+
+/// A duplicated or reordered copy waiting in a slot's FIFO:
+/// `(delivery round, send round, payload)`. The send round lets the
+/// asynchronous backend drop every copy of a frame that arrived past its
+/// patience deadline.
+type Queued<M> = (usize, usize, M);
+
+/// The message plane every backend delivers through: one slot per
+/// directed edge, the CONGEST model's one message per edge, direction
+/// and round.
+///
+/// Slot `offsets[u] + q` holds the message arriving at `u` over port
+/// `q`. Two generations alternate by round parity: round `r` drains
+/// generation `r % 2` and its sends fill generation `(r + 1) % 2`. A
+/// per-node mail bit, set by every delivery, lets a node without mail
+/// (a halted one, say) skip its slots with one load. Copies the fault
+/// plan duplicates or reorders wait in per-slot FIFOs, which exist only
+/// when the plan can produce them.
+///
+/// Single-threaded use needs nothing more. The sharded executor shares
+/// one mailbox across workers: a slot has exactly one writer per round
+/// (the unique sender behind its port) and is drained by its receiver's
+/// worker only in the next round, after a barrier; the mail bits, FIFOs
+/// and counters are atomics or locks.
+pub(crate) struct Mailbox<'a, M> {
+    offsets: &'a [usize],
+    slots: [Box<[Cell<Option<M>>]>; 2],
+    /// `mail[g][v]`: some slot of `v` in generation `g` is full.
+    mail: [Box<[AtomicBool]>; 2],
+    /// Per-slot FIFO of copies, in arrival order; empty unless the plan
+    /// can duplicate or reorder.
+    fifos: Box<[Mutex<Vec<Queued<M>>>]>,
+    /// Copies waiting per node (empty with `fifos`).
+    queued: Box<[AtomicU32]>,
+    /// Copies waiting in all FIFOs.
+    pending: AtomicUsize,
+}
+
+impl<'a, M> Mailbox<'a, M> {
+    /// An empty mailbox over the port table `offsets` (`n + 1` prefix
+    /// sums of the degrees); `copies` allocates the FIFOs.
+    pub(crate) fn new(offsets: &'a [usize], copies: bool) -> Mailbox<'a, M> {
+        let n = offsets.len() - 1;
+        let len = offsets[n];
+        let slots = || (0..len).map(|_| Cell::new(None)).collect();
+        let mail = || (0..n).map(|_| AtomicBool::new(false)).collect();
+        Mailbox {
+            offsets,
+            slots: [slots(), slots()],
+            mail: [mail(), mail()],
+            fifos: (0..if copies { len } else { 0 }).map(|_| Mutex::new(Vec::new())).collect(),
+            queued: (0..if copies { n } else { 0 }).map(|_| AtomicU32::new(0)).collect(),
+            pending: AtomicUsize::new(0),
+        }
+    }
+
+    /// Puts `msg`, sent in `round`, into slot `(u, q)` for round
+    /// `round + 1`.
+    #[inline]
+    pub(crate) fn put(&self, round: usize, u: NodeId, q: Port, msg: M) {
+        let g = (round + 1) % 2;
+        self.slots[g][self.offsets[u] + q].set(Some(msg));
+        self.mail[g][u].store(true, Ordering::Relaxed);
+    }
+
+    /// Queues a copy of `msg`, sent in `round`, for port `q` of `u` at
+    /// round `at`. Needs the FIFOs.
+    pub(crate) fn later(&self, at: usize, round: usize, u: NodeId, q: Port, msg: M) {
+        self.fifos[self.offsets[u] + q].lock().push((at, round, msg));
+        self.queued[u].fetch_add(1, Ordering::Relaxed);
+        self.pending.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Copies waiting for a later round.
+    pub(crate) fn pending(&self) -> usize {
+        self.pending.load(Ordering::Relaxed)
+    }
+
+    /// Whether a message sent in `round` waits in slot `(u, q)`.
+    pub(crate) fn holds(&self, round: usize, u: NodeId, q: Port) -> bool {
+        let slot = &self.slots[(round + 1) % 2][self.offsets[u] + q];
+        let msg = slot.take();
+        let full = msg.is_some();
+        slot.set(msg);
+        full
+    }
+
+    /// Empties `v`'s mailbox for `round` (≥ 1): the slot messages sent
+    /// in `round - 1` and the copies due now. A message for which
+    /// `late(port, send round)` holds is dropped. With `out`, the rest
+    /// are appended as the port-ordered inbox: per port, the slot
+    /// message first, then the due copies in arrival order. Every node
+    /// must be drained every round, kept or not, so the generation is
+    /// clean when its parity comes round again.
+    #[inline]
+    pub(crate) fn drain(
+        &self,
+        v: NodeId,
+        round: usize,
+        mut out: Option<&mut Vec<(Port, M)>>,
+        mut late: impl FnMut(Port, usize) -> bool,
+    ) {
+        let g = round % 2;
+        let slots = self.mail[g][v].load(Ordering::Relaxed);
+        let copies = !self.queued.is_empty() && self.queued[v].load(Ordering::Relaxed) > 0;
+        if !slots && !copies {
+            return;
+        }
+        self.mail[g][v].store(false, Ordering::Relaxed);
+        let base = self.offsets[v];
+        for q in 0..self.offsets[v + 1] - base {
+            if slots {
+                if let Some(msg) = self.slots[g][base + q].take() {
+                    if !late(q, round - 1) {
+                        if let Some(inbox) = out.as_deref_mut() {
+                            inbox.push((q, msg));
+                        }
+                    }
+                }
+            }
+            if copies {
+                let mut fifo = self.fifos[base + q].lock();
+                let mut i = 0;
+                while i < fifo.len() {
+                    if fifo[i].0 != round {
+                        i += 1;
+                        continue;
+                    }
+                    let (_, sent, msg) = fifo.remove(i);
+                    self.queued[v].fetch_sub(1, Ordering::Relaxed);
+                    self.pending.fetch_sub(1, Ordering::Relaxed);
+                    if !late(q, sent) {
+                        if let Some(inbox) = out.as_deref_mut() {
+                            inbox.push((q, msg));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Slots held, both generations.
+    #[cfg_attr(not(test), allow(dead_code))] // a memory profile's input
+    pub(crate) fn slot_count(&self) -> usize {
+        2 * self.slots[0].len()
+    }
+
+    /// Heap bytes of the FIFOs and their per-node counters (0 without
+    /// copies).
+    #[cfg_attr(not(test), allow(dead_code))] // a memory profile's input
+    pub(crate) fn fifo_bytes(&self) -> usize {
+        let entries: usize = self.fifos.iter().map(|f| f.lock().capacity()).sum();
+        self.fifos.len() * std::mem::size_of::<Mutex<Vec<Queued<M>>>>()
+            + entries * std::mem::size_of::<Queued<M>>()
+            + self.queued.len() * std::mem::size_of::<AtomicU32>()
+    }
+
+    /// Heap bytes held: slots, mail bits and FIFOs.
+    #[cfg_attr(not(test), allow(dead_code))] // a memory profile's input
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.slot_count() * std::mem::size_of::<Cell<Option<M>>>()
+            + 2 * self.mail[0].len() * std::mem::size_of::<AtomicBool>()
+            + self.fifo_bytes()
     }
 }
 

@@ -14,16 +14,15 @@
 //!   worker. Each worker owns its nodes' protocol state, RNGs and halted
 //!   flags outright (`chunks_mut`), so per-round computation needs no
 //!   locks at all.
-//! * **Slot delivery.** Message delivery uses a flat slot buffer with one
-//!   slot per *directed* edge (`offsets[u] + q` for receiver `u`, port
-//!   `q`, indexed like the network's port-translation table). The model
-//!   allows at most one message per directed edge per round and each slot
-//!   has exactly one writer (the unique peer of that port), so delivery
-//!   is plain unsynchronized writes — workers never
-//!   contend on a lock to deliver. Two buffers alternate by round parity:
-//!   round `r` reads `bufs[r % 2]` and writes `bufs[(r + 1) % 2]`; every
-//!   node drains all its slots every round (halted nodes too), so a
-//!   buffer is clean by the time its parity comes round again.
+//! * **Slot delivery.** Messages go through the one mailbox every
+//!   backend uses (`kernel::Mailbox`): one slot per *directed* edge,
+//!   double-buffered by round parity. The model allows at most one
+//!   message per directed edge per round and each slot has exactly one
+//!   writer (the unique peer of that port), so delivery is plain
+//!   unsynchronized writes — workers never contend on a lock to deliver.
+//!   Every node drains its mailbox every round (halted nodes too; a node
+//!   without mail pays one load), so a generation is clean by the time
+//!   its parity comes round again.
 //! * **Determinism.** A node's behaviour depends only on its private RNG
 //!   and its port-ordered inbox; fault injections are drawn from RNGs
 //!   keyed on the message coordinates ([`crate::rng::fault_rng`]) and
@@ -35,8 +34,7 @@
 //!   all-halted / quiescence / round-limit checks, and the application of
 //!   scheduled edge-churn events.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Barrier;
 
 use dam_graph::{NodeId, Topology};
@@ -44,54 +42,23 @@ use parking_lot::Mutex;
 
 use crate::engine::{BackendResult, Network, NodeEvent, RunOutcome, RunPlan};
 use crate::error::SimError;
-use crate::kernel::{Deliver, Kernel, Tally};
+use crate::kernel::{Deliver, Kernel, Mailbox, Tally};
 use crate::message::BitSize;
 use crate::node::{Context, Port, Protocol};
 use crate::rng;
 use crate::stats::{Integrity, RunStats};
 use crate::trace::{ChurnKind, FaultKind, TraceEvent};
 
-/// One message slot per directed edge, written without locks.
-///
-/// Slot `offsets[u] + q` carries the message arriving at node `u` over
-/// port `q`. Within any round it has exactly one writer (the unique
-/// sender behind that port, during its flush) and exactly one reader
-/// (`u`, in the *next* round, after a barrier) — so plain unsynchronized
-/// access through [`UnsafeCell`] is sound.
-struct SlotBuf<M> {
-    slots: Vec<UnsafeCell<Option<M>>>,
-}
+/// The mailbox, shared by every worker.
+struct SharedMailbox<'a, M>(Mailbox<'a, M>);
 
-// SAFETY: every slot is accessed by at most one thread at a time — the
-// unique sender while a round's messages are flushed, the unique receiver
-// after the next round barrier, and worker 0 only between barriers. The
-// round barriers establish the necessary happens-before edges.
-unsafe impl<M: Send> Sync for SlotBuf<M> {}
-
-impl<M> SlotBuf<M> {
-    fn new(len: usize) -> SlotBuf<M> {
-        SlotBuf { slots: (0..len).map(|_| UnsafeCell::new(None)).collect() }
-    }
-
-    /// # Safety
-    /// The caller must be the slot's unique accessor for this phase (see
-    /// the type-level invariant).
-    unsafe fn put(&self, idx: usize, msg: M) {
-        unsafe { *self.slots[idx].get() = Some(msg) };
-    }
-
-    /// # Safety
-    /// As [`SlotBuf::put`].
-    unsafe fn take(&self, idx: usize) -> Option<M> {
-        unsafe { (*self.slots[idx].get()).take() }
-    }
-
-    /// # Safety
-    /// As [`SlotBuf::put`].
-    unsafe fn occupied(&self, idx: usize) -> bool {
-        unsafe { (*self.slots[idx].get()).is_some() }
-    }
-}
+// SAFETY: a slot is accessed by at most one thread at a time — the
+// unique sender behind its port while a round's messages are flushed,
+// the receiver's worker after the next round barrier, and worker 0 only
+// between barriers. The round barriers establish the necessary
+// happens-before edges; the mail bits, FIFOs and counters are atomics
+// or locks.
+unsafe impl<M: Send> Sync for SharedMailbox<'_, M> {}
 
 /// Why a run stopped early: the first (round, node)-ordered incident, so
 /// the parallel engine reports exactly the failure the sequential engine
@@ -211,21 +178,13 @@ struct Shared<'a, M> {
     /// `k.peers.offsets[u] + q`.
     k: Kernel<'a>,
     n: usize,
-    /// Per-directed-edge FIFO of `(delivery_round, payload)` for
-    /// duplicated/reordered messages. Single producer (the edge's
-    /// sender), single consumer (the receiver), mutexed because they can
-    /// touch it in the same round. Empty unless the plan can duplicate
-    /// or reorder (`RunPlan::any_dup_or_reorder`).
-    fifos: Vec<Mutex<Vec<(usize, M)>>>,
+    mailbox: SharedMailbox<'a, M>,
     /// Edge presence under churn; written only by worker 0 between
     /// barriers, mirroring the sequential engine's round prologue.
     edge_present: Vec<AtomicBool>,
     /// Which nodes ended round 0 halted — feeds the coordinator's
     /// round-0 quiescence scan.
     halted_pub: Vec<AtomicBool>,
-    /// In-flight duplicated/reordered messages (the sequential engine's
-    /// `pending.len()`), for the quiescence check.
-    pending_count: AtomicI64,
     /// Frames flushed this round, summed over workers.
     round_frames: AtomicU64,
     /// Widest message this round, for pipelined round charging.
@@ -276,55 +235,11 @@ impl<M: BitSize + Clone> WorkerLocal<M> {
     }
 }
 
-/// Drains node `v`'s current-buffer slots and due pending messages for
-/// `round`. With `out` set, collects them as the port-ordered inbox
-/// (slot message first, then due duplicates/reorders in arrival order —
-/// exactly the sequential engine's stably-sorted inbox); without, they
-/// are discarded, mirroring the sequential `inbox.clear()` on
-/// halted/leaving/joining/recovering nodes. Every node must be drained
-/// every round so the parity buffer is clean for reuse and the pending
-/// count stays exact.
-fn drain_node<M>(
-    sh: &Shared<'_, M>,
-    cur: &SlotBuf<M>,
-    v: NodeId,
-    round: usize,
-    mut out: Option<&mut Vec<(Port, M)>>,
-) {
-    let base = sh.k.peers.offsets[v];
-    for q in 0..sh.k.graph.degree(v) {
-        // SAFETY: `v`'s worker is the unique reader of slot `(v, q)` in
-        // the round-`round` buffer; its writer finished last round
-        // (barrier-separated).
-        if let Some(msg) = unsafe { cur.take(base + q) } {
-            if let Some(inbox) = out.as_deref_mut() {
-                inbox.push((q, msg));
-            }
-        }
-        if sh.k.plan.any_dup_or_reorder {
-            let mut fifo = sh.fifos[base + q].lock();
-            let mut i = 0;
-            while i < fifo.len() {
-                if fifo[i].0 == round {
-                    let (_, msg) = fifo.remove(i);
-                    sh.pending_count.fetch_sub(1, Ordering::Relaxed);
-                    if let Some(inbox) = out.as_deref_mut() {
-                        inbox.push((q, msg));
-                    }
-                } else {
-                    i += 1;
-                }
-            }
-        }
-    }
-}
-
 /// The sharded side of the delivery kernel: presence is read from the
 /// shared edge mask and [`RunPlan::present_seen`], messages go into the
-/// lock-free slots and the per-slot FIFOs.
+/// shared mailbox.
 struct Slots<'s, 'a, M> {
     sh: &'s Shared<'a, M>,
-    nxt: &'s SlotBuf<M>,
 }
 
 impl<M> Deliver<M> for Slots<'_, '_, M> {
@@ -347,15 +262,14 @@ impl<M> Deliver<M> for Slots<'_, '_, M> {
         if v < u && self.sh.k.plan.node_event(u, round) == Some(NodeEvent::Recover) {
             return;
         }
-        // SAFETY: `v` is the unique sender over `(u, q)` and sends at
-        // most one message per round (double sends fail earlier), so
-        // this is the slot's only writer until `u` drains it next round.
-        unsafe { self.nxt.put(self.sh.k.peers.offsets[u] + q, msg) };
+        // `v` is the unique sender over `(u, q)` and sends at most one
+        // message per round (double sends fail earlier), so this is the
+        // slot's only writer until `u` drains it next round.
+        self.sh.mailbox.0.put(round, u, q, msg);
     }
 
-    fn later(&mut self, at: usize, _round: usize, u: NodeId, q: Port, msg: M) {
-        self.sh.fifos[self.sh.k.peers.offsets[u] + q].lock().push((at, msg));
-        self.sh.pending_count.fetch_add(1, Ordering::Relaxed);
+    fn later(&mut self, at: usize, round: usize, u: NodeId, q: Port, msg: M) {
+        self.sh.mailbox.0.later(at, round, u, q, msg);
     }
 }
 
@@ -401,19 +315,12 @@ impl Network<'_> {
         let config = self.config();
         let n = graph.node_count();
         let peers = self.peers();
-        let total_slots = peers.entries.len();
-        let bufs = [SlotBuf::<P::Msg>::new(total_slots), SlotBuf::<P::Msg>::new(total_slots)];
         let sh = Shared {
             k: Kernel { graph, config, plan, peers, run_id },
             n,
-            fifos: if plan.any_dup_or_reorder {
-                (0..total_slots).map(|_| Mutex::new(Vec::new())).collect()
-            } else {
-                Vec::new()
-            },
+            mailbox: SharedMailbox(Mailbox::new(&peers.offsets, plan.any_dup_or_reorder)),
             edge_present: plan.initial_presence(graph).1.iter().map(AtomicBool::new).collect(),
             halted_pub: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            pending_count: AtomicI64::new(0),
             round_frames: AtomicU64::new(0),
             round_max_bits: AtomicUsize::new(0),
             halted_count: AtomicUsize::new(0),
@@ -456,15 +363,12 @@ impl Network<'_> {
                 let mut handles = Vec::with_capacity(workers);
                 for (t, arena) in arenas.iter_mut().enumerate() {
                     let sh = &sh;
-                    let bufs = &bufs;
                     let barrier = &barrier;
                     let done = &done;
                     let coord = &coord;
                     let incidents = &incidents;
                     handles.push(scope.spawn(move |_| {
-                        run_worker(
-                            t, arena, sh, bufs, barrier, done, coord, incidents, net, make, traced,
-                        )
+                        run_worker(t, arena, sh, barrier, done, coord, incidents, net, make, traced)
                     }));
                 }
                 let mut results = Vec::with_capacity(workers);
@@ -519,7 +423,6 @@ fn run_worker<'g, P, F>(
     t: usize,
     arena: &mut ShardArena<P>,
     sh: &Shared<'_, P::Msg>,
-    bufs: &[SlotBuf<P::Msg>; 2],
     barrier: &Barrier,
     done: &AtomicBool,
     coord: &Mutex<Coord>,
@@ -546,9 +449,10 @@ where
     };
     let mut round = 0usize;
     loop {
-        let cur = &bufs[round % 2];
-        let nxt = &bufs[(round + 1) % 2];
-        let mut slots = Slots { sh, nxt };
+        let mut slots = Slots { sh };
+        let drain = |v: NodeId, out: Option<&mut Vec<(Port, P::Msg)>>| {
+            sh.mailbox.0.drain(v, round, out, |_, _| false);
+        };
         let mut aborted = false;
         for i in 0..protos_t.len() {
             let v = base + i;
@@ -585,7 +489,7 @@ where
             } else if event == Some(NodeEvent::Leave) {
                 // Permanent leave: silent, like a crash that never
                 // recovers — but also absent from the topology.
-                drain_node(sh, cur, v, round, None);
+                drain(v, None);
                 if !halted_t[i] {
                     sh.halted_count.fetch_add(1, Ordering::SeqCst);
                 }
@@ -593,7 +497,7 @@ where
                 local.tally.stats.churn_events = local.tally.stats.churn_events.saturating_add(1);
                 local.tally.record(TraceEvent::Churn { round, kind: ChurnKind::Leave { node: v } });
             } else if event == Some(NodeEvent::Join) {
-                drain_node(sh, cur, v, round, None);
+                drain(v, None);
                 let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     // Join: fresh ports, empty registers, a randomness
                     // stream distinct from both boots and reboots.
@@ -640,7 +544,7 @@ where
                     });
                 }
                 if event == Some(NodeEvent::Recover) {
-                    drain_node(sh, cur, v, round, None);
+                    drain(v, None);
                     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         // Crash-recover: wiped state, fresh randomness,
                         // on_start as a cold boot.
@@ -675,11 +579,11 @@ where
                     }));
                     aborted = report_incident(v, res, &mut local.fault, incidents);
                 } else if halted_t[i] {
-                    drain_node(sh, cur, v, round, None);
+                    drain(v, None);
                 } else {
                     local.inbox.clear();
                     let mut inbox = std::mem::take(&mut local.inbox);
-                    drain_node(sh, cur, v, round, Some(&mut inbox));
+                    drain(v, Some(&mut inbox));
                     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         let mut ctx = Context {
                             node: v,
@@ -719,7 +623,7 @@ where
         }
         barrier.wait();
         if t == 0 {
-            coordinate(round, sh, nxt, coord, incidents, done, net, traced);
+            coordinate(round, sh, coord, incidents, done, net, traced);
         }
         barrier.wait();
         if done.load(Ordering::SeqCst) {
@@ -767,7 +671,6 @@ fn report_incident(
 fn coordinate<M>(
     round: usize,
     sh: &Shared<'_, M>,
-    nxt: &SlotBuf<M>,
     coord: &Mutex<Coord>,
     incidents: &Mutex<Vec<(NodeId, Incident)>>,
     done: &AtomicBool,
@@ -834,9 +737,9 @@ fn coordinate<M>(
             'scan: for u in 0..sh.n {
                 let b = sh.k.peers.offsets[u];
                 for q in 0..sh.k.graph.degree(u) {
-                    // SAFETY: between the barriers no worker touches the
-                    // buffers; worker 0 is the sole accessor.
-                    if unsafe { nxt.occupied(b + q) } {
+                    // Between the barriers no worker touches the mailbox;
+                    // worker 0 is its sole accessor.
+                    if sh.mailbox.0.holds(round, u, q) {
                         let (s, _) = sh.k.peers.entries[b + q];
                         if !sh.halted_pub[u].load(Ordering::Relaxed) || u > s {
                             next_empty = false;
@@ -845,9 +748,9 @@ fn coordinate<M>(
                     }
                 }
             }
-            next_empty && sh.pending_count.load(Ordering::SeqCst) == 0
+            next_empty && sh.mailbox.0.pending() == 0
         } else {
-            frames == 0 && sh.pending_count.load(Ordering::SeqCst) == 0
+            frames == 0 && sh.mailbox.0.pending() == 0
         };
         if quiet_now {
             c.quiet += 1;

@@ -92,7 +92,7 @@ impl Protocol for Relay {
     type Output = u64;
 
     fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
-        if ctx.id() % 5 == 0 {
+        if ctx.id().is_multiple_of(5) {
             ctx.halt();
         }
         if ctx.id() % 7 == 1 && ctx.degree() > 0 {
