@@ -421,53 +421,72 @@ impl ImplicitTopology {
         )
     }
 
-    /// Incident `(edge, neighbour)` pairs of `v`, sorted by edge id —
-    /// the shared implementation behind `port`/`degree` for the
-    /// constant-degree families.
-    fn incident_sorted(&self, v: NodeId) -> Vec<(EdgeId, NodeId)> {
+    /// Port `p` of `v` as `(edge, neighbour)` for the constant-degree
+    /// families, in closed form and without allocating: ports are sorted
+    /// by edge id.
+    fn arc(&self, v: NodeId, p: usize) -> (EdgeId, NodeId) {
+        let out_of_range = || panic!("port {p} out of range at node {v}");
         match *self {
-            ImplicitTopology::Ring { n } => {
-                assert!(v < n, "node {v} out of range");
-                let pred = (v + n - 1) % n;
-                let succ = (v + 1) % n;
-                // Edge ids: predecessor edge is `pred`, successor edge is `v`.
-                let mut inc = vec![(pred, pred), (v, succ)];
-                inc.sort_unstable();
-                inc
-            }
+            ImplicitTopology::Ring { n } => *ring_arcs(n, v).get(p).unwrap_or_else(out_of_range),
             ImplicitTopology::Torus { w, h } => {
-                let n = w * h;
-                assert!(v < n, "node {v} out of range");
-                let (x, y) = (v % w, v / w);
-                let right = y * w + (x + 1) % w;
-                let down = ((y + 1) % h) * w + x;
-                let left = y * w + (x + w - 1) % w;
-                let up = ((y + h - 1) % h) * w + x;
-                let mut inc =
-                    vec![(2 * v, right), (2 * v + 1, down), (2 * left, left), (2 * up + 1, up)];
-                inc.sort_unstable();
-                inc
+                *torus_arcs(w, h, v).get(p).unwrap_or_else(out_of_range)
             }
             ImplicitTopology::Regular { n, d } => {
-                assert!(v < n, "node {v} out of range");
-                let mut inc = Vec::with_capacity(d);
-                for j in 1..=(d / 2) {
-                    let block = ((j - 1) * n) as EdgeId;
-                    inc.push((block + v, (v + j) % n)); // forward: v -> v+j
-                    inc.push((block + (v + n - j) % n, (v + n - j) % n)); // backward
+                if p >= d {
+                    out_of_range();
                 }
-                if d % 2 == 1 {
-                    let block = ((d / 2) * n) as EdgeId;
-                    let half = n / 2;
-                    inc.push((block + v % half, (v + half) % n));
-                }
-                inc.sort_unstable();
-                inc
+                regular_arc(n, d, v, p)
             }
-            ImplicitTopology::Gnp { .. } => {
-                unreachable!("gnp uses its own row scan (see `port`)")
-            }
+            ImplicitTopology::Gnp { .. } => unreachable!("gnp uses its own row scan (see `port`)"),
         }
+    }
+}
+
+/// The ring's two `(edge, neighbour)` pairs at `v`, sorted by edge id:
+/// the predecessor edge is `pred`, the successor edge is `v`.
+fn ring_arcs(n: usize, v: NodeId) -> [(EdgeId, NodeId); 2] {
+    assert!(v < n, "node {v} out of range");
+    let pred = (v + n - 1) % n;
+    let succ = (v + 1) % n;
+    let mut arcs = [(pred, pred), (v, succ)];
+    arcs.sort_unstable();
+    arcs
+}
+
+/// The torus's four `(edge, neighbour)` pairs at `v`, sorted by edge id.
+fn torus_arcs(w: usize, h: usize, v: NodeId) -> [(EdgeId, NodeId); 4] {
+    assert!(v < w * h, "node {v} out of range");
+    let (x, y) = (v % w, v / w);
+    let right = y * w + (x + 1) % w;
+    let down = ((y + 1) % h) * w + x;
+    let left = y * w + (x + w - 1) % w;
+    let up = ((y + h - 1) % h) * w + x;
+    let mut arcs = [(2 * v, right), (2 * v + 1, down), (2 * left, left), (2 * up + 1, up)];
+    arcs.sort_unstable();
+    arcs
+}
+
+/// Port `p` of `v` on the `d`-regular circulant as `(edge, neighbour)`.
+/// Offset `j` owns the id block `[(j−1)·n, j·n)`, holding `v`'s forward
+/// edge at `(j−1)·n + v` and its backward edge at `(j−1)·n + (v−j mod
+/// n)`; the diameter block comes last. Sorting by id is therefore
+/// block order, then offset order inside a block.
+fn regular_arc(n: usize, d: usize, v: NodeId, p: usize) -> (EdgeId, NodeId) {
+    assert!(v < n, "node {v} out of range");
+    if p == 2 * (d / 2) {
+        let half = n / 2;
+        return ((d / 2) * n + v % half, (v + half) % n);
+    }
+    let j = p / 2 + 1;
+    let block = (j - 1) * n;
+    let back = (v + n - j) % n;
+    let forward = (block + v, (v + j) % n);
+    let backward = (block + back, back);
+    // The smaller offset inside the block comes first.
+    if p.is_multiple_of(2) == (v < back) {
+        forward
+    } else {
+        backward
     }
 }
 
@@ -560,8 +579,7 @@ impl Topology for ImplicitTopology {
             }
             unreachable!("degree table disagrees with coin scan at node {v}");
         }
-        let inc = self.incident_sorted(v);
-        let (e, u) = *inc.get(p).unwrap_or_else(|| panic!("port {p} out of range at node {v}"));
+        let (e, u) = self.arc(v, p);
         (u, e)
     }
 
@@ -613,6 +631,26 @@ impl Topology for ImplicitTopology {
                 }
                 unreachable!("prefix table disagrees with coin scan at edge {e}");
             }
+        }
+    }
+
+    fn incident<'a>(&'a self, v: NodeId) -> Box<dyn Iterator<Item = (usize, NodeId, EdgeId)> + 'a> {
+        let triple = |(p, (e, u)): (usize, (EdgeId, NodeId))| (p, u, e);
+        match *self {
+            ImplicitTopology::Ring { n } => {
+                Box::new(ring_arcs(n, v).into_iter().enumerate().map(triple))
+            }
+            ImplicitTopology::Torus { w, h } => {
+                Box::new(torus_arcs(w, h, v).into_iter().enumerate().map(triple))
+            }
+            ImplicitTopology::Regular { n, d } => {
+                assert!(v < n, "node {v} out of range");
+                Box::new((0..d).map(move |p| triple((p, regular_arc(n, d, v, p)))))
+            }
+            ImplicitTopology::Gnp { .. } => Box::new((0..self.degree(v)).map(move |p| {
+                let (u, e) = self.port(v, p);
+                (p, u, e)
+            })),
         }
     }
 
@@ -743,6 +781,31 @@ mod tests {
             "gnp:999999999:0.5:0",
         ] {
             assert!(ImplicitTopology::parse(bad).is_err(), "'{bad}' must be rejected");
+        }
+    }
+
+    #[test]
+    fn incident_lists_every_port_in_order() {
+        for spec in
+            ["ring:3", "ring:9", "torus:3x5", "torus:6x4", "reg:7:6", "reg:12:11", "reg:40:9"]
+        {
+            let t = ImplicitTopology::parse(spec).unwrap();
+            let g = t.materialize();
+            for v in 0..g.node_count() {
+                let got: Vec<_> = Topology::incident(&t, v).collect();
+                let want: Vec<_> = g.incident(v).collect();
+                assert_eq!(got, want, "{spec} node {v}");
+            }
+        }
+        let t = ImplicitTopology::gnp(14, 0.4, 2).unwrap();
+        for v in 0..14 {
+            let ports: Vec<_> = (0..Topology::degree(&t, v))
+                .map(|p| {
+                    let (u, e) = Topology::port(&t, v, p);
+                    (p, u, e)
+                })
+                .collect();
+            assert_eq!(Topology::incident(&t, v).collect::<Vec<_>>(), ports, "gnp node {v}");
         }
     }
 
