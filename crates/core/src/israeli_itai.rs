@@ -106,8 +106,9 @@ impl IiNode {
         IiNode { matched_edge, announced: false, live, proposed: None }
     }
 
-    fn live_ports(&self) -> Vec<Port> {
-        self.live.iter().enumerate().filter_map(|(p, &l)| l.then_some(p)).collect()
+    /// The `k`-th live port, counting from port 0.
+    fn live_port(&self, k: usize) -> Port {
+        self.live.iter().enumerate().filter(|&(_, &l)| l).nth(k).expect("k < live count").0
     }
 
     fn step(&mut self, ctx: &mut Context<'_, IiMsg>, inbox: &[(Port, IiMsg)]) {
@@ -144,13 +145,13 @@ impl IiNode {
                 ctx.halt();
                 return;
             }
-            let live = self.live_ports();
-            if live.is_empty() {
+            let live = self.live.iter().filter(|&&l| l).count();
+            if live == 0 {
                 ctx.halt();
                 return;
             }
             if ctx.rng().random_bool(0.5) {
-                let pick = live[ctx.rng().random_range(0..live.len())];
+                let pick = self.live_port(ctx.rng().random_range(0..live));
                 self.proposed = Some(pick);
                 ctx.send(pick, IiMsg::Propose);
             }
