@@ -643,7 +643,7 @@ pub(crate) struct RunPlan {
     partitions: Vec<(usize, usize, BitSet)>,
     /// Round-windowed loss/corruption overlays.
     squalls: Vec<Squall>,
-    /// Whether duplication/reordering can occur (pending-queue gate).
+    /// Whether duplication/reordering can occur (the mailbox FIFO gate).
     pub(crate) any_dup_or_reorder: bool,
 }
 

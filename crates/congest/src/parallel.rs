@@ -49,16 +49,58 @@ use crate::rng;
 use crate::stats::{Integrity, RunStats};
 use crate::trace::{ChurnKind, FaultKind, TraceEvent};
 
-/// The mailbox, shared by every worker.
+/// The mailbox, shared by every worker. Its slots are written without
+/// locks, so every slot access goes through an `unsafe` method whose
+/// caller is that slot's only accessor for the phase.
 struct SharedMailbox<'a, M>(Mailbox<'a, M>);
 
-// SAFETY: a slot is accessed by at most one thread at a time — the
-// unique sender behind its port while a round's messages are flushed,
-// the receiver's worker after the next round barrier, and worker 0 only
-// between barriers. The round barriers establish the necessary
-// happens-before edges; the mail bits, FIFOs and counters are atomics
-// or locks.
+// SAFETY: slots are reached only through the `unsafe` methods below,
+// whose callers guarantee that a slot is accessed by at most one thread
+// at a time — the unique sender behind its port while a round's
+// messages are flushed, the receiver's worker after the next round
+// barrier, and worker 0 only between barriers. The round barriers
+// establish the necessary happens-before edges. The mail bits, FIFOs
+// and counters are atomics or locks, and the port table is read-only.
 unsafe impl<M: Send> Sync for SharedMailbox<'_, M> {}
+
+impl<M> SharedMailbox<'_, M> {
+    /// [`Mailbox::put`].
+    ///
+    /// # Safety
+    /// The caller is the unique sender behind `(u, q)` in `round`, and
+    /// `u` is drained for `round + 1` only after the next barrier.
+    unsafe fn put(&self, round: usize, u: NodeId, q: Port, msg: M) {
+        self.0.put(round, u, q, msg);
+    }
+
+    /// [`Mailbox::drain`], keeping every message.
+    ///
+    /// # Safety
+    /// The caller is `v`'s worker, running `round` (the senders of
+    /// `round - 1` are barrier-separated from it).
+    unsafe fn drain(&self, v: NodeId, round: usize, out: Option<&mut Vec<(Port, M)>>) {
+        self.0.drain(v, round, out, |_, _| false);
+    }
+
+    /// [`Mailbox::holds`].
+    ///
+    /// # Safety
+    /// The caller is worker 0 between the barriers, when no other
+    /// thread touches the mailbox.
+    unsafe fn holds(&self, round: usize, u: NodeId, q: Port) -> bool {
+        self.0.holds(round, u, q)
+    }
+
+    /// [`Mailbox::later`]: FIFOs are locked, so any thread may queue.
+    fn later(&self, at: usize, round: usize, u: NodeId, q: Port, msg: M) {
+        self.0.later(at, round, u, q, msg);
+    }
+
+    /// [`Mailbox::pending`].
+    fn pending(&self) -> usize {
+        self.0.pending()
+    }
+}
 
 /// Why a run stopped early: the first (round, node)-ordered incident, so
 /// the parallel engine reports exactly the failure the sequential engine
@@ -262,14 +304,14 @@ impl<M> Deliver<M> for Slots<'_, '_, M> {
         if v < u && self.sh.k.plan.node_event(u, round) == Some(NodeEvent::Recover) {
             return;
         }
-        // `v` is the unique sender over `(u, q)` and sends at most one
-        // message per round (double sends fail earlier), so this is the
-        // slot's only writer until `u` drains it next round.
-        self.sh.mailbox.0.put(round, u, q, msg);
+        // SAFETY: `v` is the unique sender over `(u, q)` and sends at
+        // most one message per round (double sends fail earlier), so
+        // this is the slot's only writer until `u` drains it next round.
+        unsafe { self.sh.mailbox.put(round, u, q, msg) };
     }
 
     fn later(&mut self, at: usize, round: usize, u: NodeId, q: Port, msg: M) {
-        self.sh.mailbox.0.later(at, round, u, q, msg);
+        self.sh.mailbox.later(at, round, u, q, msg);
     }
 }
 
@@ -451,7 +493,10 @@ where
     loop {
         let mut slots = Slots { sh };
         let drain = |v: NodeId, out: Option<&mut Vec<(Port, P::Msg)>>| {
-            sh.mailbox.0.drain(v, round, out, |_, _| false);
+            // SAFETY: this worker owns `v`; the senders of round
+            // `round - 1` finished before the barrier that opened this
+            // round.
+            unsafe { sh.mailbox.drain(v, round, out) };
         };
         let mut aborted = false;
         for i in 0..protos_t.len() {
@@ -737,9 +782,9 @@ fn coordinate<M>(
             'scan: for u in 0..sh.n {
                 let b = sh.k.peers.offsets[u];
                 for q in 0..sh.k.graph.degree(u) {
-                    // Between the barriers no worker touches the mailbox;
-                    // worker 0 is its sole accessor.
-                    if sh.mailbox.0.holds(round, u, q) {
+                    // SAFETY: between the barriers no worker touches the
+                    // mailbox; worker 0 is its sole accessor.
+                    if unsafe { sh.mailbox.holds(round, u, q) } {
                         let (s, _) = sh.k.peers.entries[b + q];
                         if !sh.halted_pub[u].load(Ordering::Relaxed) || u > s {
                             next_empty = false;
@@ -748,9 +793,9 @@ fn coordinate<M>(
                     }
                 }
             }
-            next_empty && sh.mailbox.0.pending() == 0
+            next_empty && sh.mailbox.pending() == 0
         } else {
-            frames == 0 && sh.mailbox.0.pending() == 0
+            frames == 0 && sh.mailbox.pending() == 0
         };
         if quiet_now {
             c.quiet += 1;
