@@ -29,9 +29,9 @@ pub const SCALE_WORKLOAD: &str = "e22-israeli-itai-implicit";
 pub const SCALE_SEED: u64 = 22;
 /// Peak-RSS budget of the smoke collection (n = 10⁵ records only),
 /// asserted by CI's `scale-smoke` job. The n = 10⁵ smoke collection
-/// peaked at 45 944 kB (2-core Xeon host, sparse per-run fault plan);
+/// peaked at 30 672 kB (2-core Xeon host, per-port slot mailbox);
 /// the budget is about twice that.
-pub const RSS_BUDGET_KB: u64 = 98_304;
+pub const RSS_BUDGET_KB: u64 = 61_440;
 /// Implicit specs measured at n = 10⁵ (both modes).
 pub const SPECS_1E5: &[&str] = &["ring:100000", "torus:320x320", "reg:100000:4"];
 /// Implicit specs measured at n = 10⁶ (full mode only).
